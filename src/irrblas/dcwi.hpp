@@ -115,4 +115,34 @@ inline LaswpWork dcwi_laswp(int j, int jb, int m_loc, int n_loc) {
   return w;
 }
 
+/// Column tiling of the memory-bound one-block-per-matrix kernels
+/// (DESIGN.md §15): the grid is sized from the *required* width as
+/// batch x column_tiles(max_width) blocks — block b serves matrix
+/// b / tiles, column tile b % tiles — and DCWI retires the tiles past each
+/// matrix's own width. A single block draws at most one SM's bandwidth, so
+/// without the tiles a lone wide front streams at a fraction of the
+/// device's. Widths up to kColumnTile keep a one-tile (one block per
+/// matrix) grid.
+inline constexpr int kColumnTile = 64;
+
+inline int column_tiles(int max_width) {
+  return max_width > kColumnTile
+             ? (max_width + kColumnTile - 1) / kColumnTile
+             : 1;
+}
+
+/// Columns [c0, c0 + cols) of column tile `tile` in a matrix `width` wide.
+struct TileWork {
+  int c0 = 0;
+  int cols = 0;
+  bool none() const { return cols <= 0; }
+};
+
+inline TileWork dcwi_tile(int tile, int width) {
+  TileWork w;
+  w.c0 = tile * kColumnTile;
+  w.cols = dcwi_clamp(kColumnTile, width, w.c0);
+  return w;
+}
+
 }  // namespace irrlu::batch

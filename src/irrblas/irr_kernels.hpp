@@ -250,9 +250,11 @@ void irr_laswp_range(gpusim::Device& dev, gpusim::Stream& stream, int k0,
 /// replayed on auxiliary index columns (§IV-F), then every touched row
 /// moves exactly once through shared-memory chunks instead of one strided
 /// swap per pivot. Result-identical to irr_laswp_range; the traffic is
-/// swap-chain-compressed. The FP64 multifrontal path keeps the strided
-/// reference schedule for cost-reproducibility with the pre-mixed-precision
-/// baseline; FP32 fronts (DESIGN.md §14) take this kernel. `workspace`
+/// swap-chain-compressed, and the move phase runs a DCWI column-tiled grid
+/// of batch_size x column_tiles(w) blocks (DESIGN.md §15). FP32
+/// multifrontal fronts (DESIGN.md §14) take this kernel; the FP64 path
+/// keeps the strided one (see the U12 comment in multifrontal.cpp for
+/// why). `workspace`
 /// must hold irr_laswp_workspace_size(batch_size, k1 - k0) ints, or null
 /// to draw from the device's per-stream workspace cache.
 template <typename T>

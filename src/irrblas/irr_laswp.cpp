@@ -278,19 +278,26 @@ void irr_laswp_range_staged(gpusim::Device& dev, gpusim::Stream& stream,
 
   // Phase 2 — move each touched row exactly once over the [c0, c0+w)
   // column range, through shared-memory chunks (cf. laswp_move_kernel).
+  // The range is split into DCWI column tiles (batch x column_tiles(w)
+  // blocks): tiles own disjoint columns, so every element still moves
+  // exactly once, from the same source row.
   const std::size_t move_smem =
       std::min(kMoveSmemBytes, dev.model().shared_mem_per_block);
-  const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size, move_smem};
+  const int tiles = column_tiles(w);
+  const gpusim::LaunchConfig cfg{"irr_laswp_move", batch_size * tiles,
+                                 move_smem};
   dev.launch(stream, cfg, [=](gpusim::BlockCtx& ctx) {
-    const int id = ctx.block();
+    const int id = ctx.block() / tiles;
     const int* w_cnt = ws + static_cast<std::ptrdiff_t>(id) * stride;
     const int cnt = *w_cnt;
-    const int width = std::min(w, n_vec[id] - c0);
-    if (cnt == 0 || width <= 0) return;
+    const TileWork tw =
+        dcwi_tile(ctx.block() % tiles, std::min(w, n_vec[id] - c0));
+    if (cnt == 0 || tw.none()) return;
+    const int width = tw.cols;
     const int* list = w_cnt + 1;
     const int* occ = list + 2 * jb;
     const int lda = ldda[id];
-    T* A = dA_array[id] + static_cast<std::ptrdiff_t>(c0) * lda;
+    T* A = dA_array[id] + static_cast<std::ptrdiff_t>(c0 + tw.c0) * lda;
 
     const int cw =
         std::max<int>(1, static_cast<int>(move_smem / sizeof(T)) / cnt);

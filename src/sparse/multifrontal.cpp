@@ -12,6 +12,7 @@
 #include "lapack/blas.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/lapack.hpp"
+#include "sparse/front_kernels.hpp"
 #include "trace/analysis.hpp"
 #include "trace/trace.hpp"
 
@@ -151,6 +152,7 @@ class FrontStorage {
 struct FrontGroup {
   int count = 0;
   int smax = 0, umax = 0;
+  int dmax = 0;  ///< widest front (s + u), sizes the column-tiled grids
   Precision prec = Precision::kF64;
   std::vector<int> ids;
   gpusim::DeviceBuffer<double*> f, f12, f21, f22;
@@ -228,6 +230,7 @@ struct FrontGroup {
       info[k] = 0;
       smax = std::max(smax, s);
       umax = std::max(umax, fr.u());
+      dmax = std::max(dmax, d);
     }
   }
 };
@@ -506,42 +509,23 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // crosses the precision seam here, charged at the actual widths).
   auto gather_children_t = [&]<typename Tp, typename Tc>(
                                const std::vector<int>& ids) {
-    struct Meta {
-      const Tc* child;
-      Tp* parent;
-      int u, ldc, ldp, map_off;
-    };
-    auto metas = std::make_shared<std::vector<Meta>>();
+    std::vector<ExtendAddDesc<Tp, Tc>> descs;
     for (int id : ids) {
       const Front& p = sym.fronts[static_cast<std::size_t>(id)];
       for (int child : p.children) {
         const Front& c = sym.fronts[static_cast<std::size_t>(child)];
         if (c.u() == 0) continue;
-        metas->push_back(
+        descs.push_back(
             {storage.base<Tc>(child) +
                  static_cast<std::ptrdiff_t>(c.s()) * c.dim() + c.s(),
-             storage.base<Tp>(id), c.u(), c.dim(), p.dim() > 0 ? p.dim() : 1,
-             scat_start[static_cast<std::size_t>(child)]});
+             storage.base<Tp>(id),
+             smap + scat_start[static_cast<std::size_t>(child)], c.u(),
+             c.dim(), p.dim() > 0 ? p.dim() : 1});
       }
     }
-    if (metas->empty()) return;
+    if (descs.empty()) return;
     IRRLU_TRACE_SCOPE(dev.tracer(), "extend-add");
-    dev.launch(stream,
-               {"mf_extend_add", static_cast<int>(metas->size()), 0},
-               [metas, smap](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int* map = smap + m.map_off;
-      for (int c = 0; c < m.u; ++c)
-        for (int r = 0; r < m.u; ++r)
-          m.parent[static_cast<std::ptrdiff_t>(map[c]) * m.ldp + map[r]] +=
-              static_cast<Tp>(
-                  m.child[static_cast<std::ptrdiff_t>(c) * m.ldc + r]);
-      // Scattered writes: penalized traffic on the parent side (4 parent
-      // accesses per element at the parent width, 1 child read at the
-      // child width).
-      ctx.record(static_cast<double>(m.u) * m.u,
-                 (4.0 * sizeof(Tp) + sizeof(Tc)) * m.u * m.u);
-    });
+    front_extend_add<Tp, Tc>(dev, stream, std::move(descs));
   };
   auto gather_children = [&](const std::vector<int>& ids) {
     if (ids.empty()) return;
@@ -569,46 +553,17 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   // (pure-FP64 runs keep every front in the double list, in order).
   auto extract_factors_t = [&]<typename T>(const std::vector<int>& ids,
                                            T* store) {
-    if (ids.empty()) return;
-    struct Meta {
-      const T* base;
-      T* out;
-      int s, u, ld;
-    };
-    auto metas = std::make_shared<std::vector<Meta>>();
+    std::vector<ExtractDesc<T>> descs;
     for (int id : ids) {
       const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
       if (fr.s() == 0) continue;
-      metas->push_back({storage.base<T>(id),
-                        store +
-                            fstore_offset_[static_cast<std::size_t>(id)],
-                        fr.s(), fr.u(), fr.dim()});
+      descs.push_back({storage.base<T>(id),
+                       store + fstore_offset_[static_cast<std::size_t>(id)],
+                       fr.s(), fr.u(), fr.dim()});
     }
-    if (metas->empty()) return;
+    if (descs.empty()) return;
     IRRLU_TRACE_SCOPE(dev.tracer(), "extract");
-    dev.launch(stream,
-               {"mf_extract", static_cast<int>(metas->size()), 0},
-               [metas](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      T* out = m.out;
-      // L11\U11: s x s, ld s.
-      for (int c = 0; c < m.s; ++c)
-        for (int r = 0; r < m.s; ++r)
-          *out++ = m.base[static_cast<std::ptrdiff_t>(c) * m.ld + r];
-      // U12: s x u, ld s.
-      for (int c = 0; c < m.u; ++c)
-        for (int r = 0; r < m.s; ++r)
-          *out++ =
-              m.base[static_cast<std::ptrdiff_t>(m.s + c) * m.ld + r];
-      // L21: u x s, ld u.
-      for (int c = 0; c < m.s; ++c)
-        for (int r = 0; r < m.u; ++r)
-          *out++ =
-              m.base[static_cast<std::ptrdiff_t>(c) * m.ld + m.s + r];
-      const double elems =
-          static_cast<double>(m.s) * (m.s + 2.0 * m.u);
-      ctx.record(0.0, 2.0 * elems * sizeof(T));
-    });
+    front_extract<T>(dev, stream, std::move(descs));
   };
   auto extract_factors = [&](const std::vector<int>& ids) {
     if (ids.empty()) return;
@@ -669,33 +624,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
 
   std::vector<std::unique_ptr<FrontGroup>> groups;  // keep alive
 
-  // Max-magnitude entry of each front's full (dim x dim) block, written to
-  // `out` — before factorization it is the per-front boost reference
-  // ||F||_max, after it the numerator of the growth estimate. The
-  // extremum itself stays double for every front precision (it feeds the
-  // boost rule and the growth report).
-  auto front_absmax = [&]<typename T>(const FrontGroup& g, T* const* fp,
-                                      gpusim::Stream& st, double* out,
-                                      const char* name) {
-    const int* ldp = g.ld.data();
-    const int* sp = g.svec.data();
-    const int* up = g.uvec.data();
-    dev.launch(st, {name, g.count, 0}, [=](gpusim::BlockCtx& ctx) {
-      const int k = ctx.block();
-      const int d = sp[k] + up[k];
-      if (d <= 0) return;
-      const T* F = fp[k];
-      const int ld = ldp[k];
-      double m = 0;
-      for (int c = 0; c < d; ++c)
-        for (int r = 0; r < d; ++r)
-          m = std::max(m, std::abs(static_cast<double>(
-                              F[static_cast<std::ptrdiff_t>(c) * ld + r])));
-      out[k] = m;
-      ctx.record(0.0, static_cast<double>(d) * d * sizeof(T));
-    });
-  };
-
   // Factors one group of fronts as a single irregular batch on the given
   // stream, in the group's precision: the FP32 instantiations run the
   // same pivoting/boost/blocking decisions on float lanes at double flop
@@ -717,9 +645,11 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
       lu.nb = 2 * std::max(1, lu.nb);
       lu.laswp_workspace = nullptr;
     }
+    // Per-front ||F||_max before the elimination: the boost reference.
     if (opts.pivot_tau > 0) {
-      front_absmax.template operator()<T>(g, gf, stream, g.anorm.data(),
-                                          "mf_front_norm");
+      front_absmax<T>(dev, stream, "mf_front_norm", gf, g.ld.data(),
+                      g.svec.data(), g.uvec.data(), g.count, g.dmax,
+                      g.anorm.data());
       lu.boost.tau = opts.pivot_tau;
       lu.boost.anorm_vec = g.anorm.data();
       lu.boost.boost_vec = g.boost.data();
@@ -728,12 +658,14 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
                         g.ld.data(), 0, 0, g.svec.data(), g.svec.data(),
                         g.ipiv.data(), g.info.data(), g.count, lu);
     if (g.umax > 0) {
-      // Pivot application to F12: the FP64 path keeps the strided
-      // reference kernel — its cost schedule is pinned by the
-      // pre-mixed-precision baseline (fig10 bit/cost-identity). The FP32
-      // fronts are new with DESIGN.md §14 and take the rehearsed staged
-      // variant, which compresses the swap chain so each touched row
-      // moves once through shared-memory chunks.
+      // Pivot application to F12. FP32 fronts take the rehearsed staged
+      // kernel (each touched row moves once through shared-memory chunks,
+      // over a column-tiled grid); FP64 fronts keep the strided
+      // irr_laswp_range. fig10 does not pin that choice — it drives
+      // irr_getrf only, never this driver. What does is the bench_factor
+      // family FP32/FP64 >= 1.5 gate: moving FP64 onto the staged kernel
+      // (or tiling the strided one) was measured to drop the ratio to
+      // 1.22 (DESIGN.md §14).
       if constexpr (std::is_same_v<T, float>)
         batch::irr_laswp_range_staged<T>(
             dev, stream, 0, g.smax, g.umax, gf12, g.ld.data(), 0,
@@ -765,8 +697,9 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
     }
     // Post-elimination extremum: gmax / anorm is the per-front growth.
     if (opts.pivot_tau > 0)
-      front_absmax.template operator()<T>(g, gf, stream, g.gmax.data(),
-                                          "mf_front_growth");
+      front_absmax<T>(dev, stream, "mf_front_growth", gf, g.ld.data(),
+                      g.svec.data(), g.uvec.data(), g.count, g.dmax,
+                      g.gmax.data());
   };
 
   auto factor_group_on = [&](const FrontGroup& g, gpusim::Stream& stream,

@@ -16,6 +16,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
+#include "irrblas/dcwi.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
 #include "lapack/blas.hpp"
@@ -158,30 +159,50 @@ TEST(Fp32Kernels, TrsmWideBaseTracksFp64Reference) {
 
 TEST(Fp32Kernels, StagedLaswpRangeIsBitIdenticalToStrided) {
   // The staged rehearse+move kernel must be *result*-identical to the
-  // strided reference — rows move through shared-memory chunks instead of
-  // one swap per pivot, but land bit-exactly where the reference puts
-  // them. Trailing-row pivots past the panel (the U12 application in the
-  // multifrontal driver) included.
-  Device dev(DeviceModel::a100());
-  Rng rng(79);
-  const int bs = 25;
-  auto n = rng.uniform_sizes(bs, 2, 70);
-  VBatch<float> A(dev, n), B(dev, n);
-  A.fill_uniform(rng);
-  PivotBatch piv(dev, n, n);
+  // strided reference — rows move through shared-memory chunks over a
+  // column-tiled grid instead of one swap per pivot, but land bit-exactly
+  // where the reference puts them. The pivot rows (m) and the moved width
+  // (n) are independent, as in the multifrontal U12 application; widths
+  // straddle the column-tile boundaries and differ inside every batch.
   const int jb = 8;
-  irr_getf2_fused<float>(dev, dev.stream(), 70, jb, A.ptrs(), A.lda(), 0, 0,
-                         A.m_vec(), A.n_vec(), piv.ptrs(), piv.info(), bs);
-  B.copy_from(A);
-  irr_laswp_range<float>(dev, dev.stream(), 0, jb, 70, A.ptrs(), A.lda(), 0,
-                         A.m_vec(), A.n_vec(),
-                         const_cast<int const* const*>(piv.ptrs()), bs);
-  irr_laswp_range_staged<float>(dev, dev.stream(), 0, jb, 70, B.ptrs(),
-                                B.lda(), 0, B.m_vec(), B.n_vec(),
-                                const_cast<int const* const*>(piv.ptrs()),
-                                bs);
-  dev.synchronize_all();
-  EXPECT_EQ(batch_max_diff_f(A, B), 0.0f);
+  const int tw = kColumnTile;
+  std::vector<std::vector<int>> width_sets;
+  for (int w : {1, tw - 1, tw, tw + 1, 3 * tw + 5})
+    width_sets.push_back({w, std::max(1, w - 1), std::max(1, w / 2), 1, w,
+                          std::max(1, 2 * w / 3)});
+  width_sets.push_back({1, tw - 1, tw, tw + 1, 3 * tw + 5, 30, 2 * tw});
+  Rng rng(79);
+  for (const auto& widths : width_sets) {
+    Device dev(DeviceModel::a100());
+    const int bs = static_cast<int>(widths.size());
+    const int wmax = *std::max_element(widths.begin(), widths.end());
+    // Pivot rows straddle the range end k1 = jb: short matrices pivot only
+    // their own rows.
+    const auto rows = rng.uniform_sizes(bs, 3, 20);
+    VBatch<float> A(dev, rows, widths), B(dev, rows, widths);
+    A.fill_uniform(rng);
+    B.copy_from(A);
+    PivotBatch piv(dev, rows, rows);
+    for (int i = 0; i < bs; ++i) {
+      const int m = rows[static_cast<std::size_t>(i)];
+      for (int r = 0; r < std::min(jb, m); ++r)
+        piv.ptrs()[i][r] = rng.uniform_int(r, m - 1);  // LAPACK-style
+    }
+    irr_laswp_range<float>(dev, dev.stream(), 0, jb, wmax, A.ptrs(), A.lda(),
+                           0, A.m_vec(), A.n_vec(),
+                           const_cast<int const* const*>(piv.ptrs()), bs);
+    irr_laswp_range_staged<float>(dev, dev.stream(), 0, jb, wmax, B.ptrs(),
+                                  B.lda(), 0, B.m_vec(), B.n_vec(),
+                                  const_cast<int const* const*>(piv.ptrs()),
+                                  bs);
+    dev.synchronize_all();
+    EXPECT_EQ(batch_max_diff_f(A, B), 0.0f) << "wmax " << wmax;
+    // The move phase runs bs x column_tiles(wmax) blocks: one per matrix
+    // up to one tile, more past it.
+    EXPECT_EQ(dev.profile().at("irr_laswp_move").blocks,
+              static_cast<long>(bs) * column_tiles(wmax))
+        << "wmax " << wmax;
+  }
 }
 
 // ---------------------------------------------------------------------------
