@@ -234,33 +234,18 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 // onto the GEMM Schur update u x u x s and the TRSM panel solves):
 //
 //   name             "gemm_nn_mid", "trsm_ll_root", ... (stable key)
-//   op               "gemm" | "trsm" | "getf2"
+//   op               "gemm" | "trsm"
 //   transa, transb   "N" | "T"       (gemm; "N"/"N" placeholders for trsm)
 //   side, uplo       "L"/"R", "L"/"U" (trsm; placeholders for gemm)
-//   m, n, k          problem extents (k is 0 for trsm/getf2)
+//   m, n, k          problem extents (k is 0 for trsm)
 //   flops            operation count for one call (la::*_flops)
 //   engine_median_ns median wall-clock ns per call through la::gemm/la::trsm
 //   naive_median_ns  same through la::ref::gemm/la::ref::trsm (the pre-
 //                    engine algorithms, compiled with project-default flags)
 //   engine_gflops, naive_gflops    flops / median_ns
 //   speedup          naive_median_ns / engine_median_ns
-//   layout           "strided" | "interleaved"
-//   batch            lanes per call (1 for the strided single-call rows)
-//   prec             "f64" | "f32" — element type of both sides of the
-//                    row. The f32 twin rows (DESIGN.md §14) re-run the
-//                    interleaved leaf classes in single precision; the
-//                    ilv-ns ratio f64-row / f32-row is the throughput
-//                    win the FP32 multifrontal levels inherit
-//
-// The interleaved_* rows (layout "interleaved", DESIGN.md §12) time one
-// whole batch of `batch` same-shape leaf-class matrices per call: the
-// contender ("engine") is the dispatch-cached SoA launch (irr_*_ilv, warm
-// KernelCache), the baseline ("naive") is the strided engine batch path
-// (irr_gemm/irr_trsm/irr_getrf) on the same simulated device — i.e. what
-// the multifrontal leaf levels would otherwise run. The medians cover the
-// batch, so ns and gflops compare directly row-to-row; speedup is the SoA
-// win over the strided layout at that shape. getf2 rows carry the batched
-// boosted factorization of m x n panels.
+//   layout, batch, prec   "strided", 1, "f64" on every row: one
+//                    double-precision matrix per call
 //
 // Medians are taken over a work-scaled, odd repetition count after a
 // wall-time-bounded warm-up (a few ms of sustained work, so microsecond-
@@ -307,24 +292,6 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   refactor_speedup  pool-off / pool-on refactor medians (wall clock,
 //                     machine-dependent — report, do not gate on it)
 //   host_alloc_ratio  pool-on / pool-off host mallocs (deterministic)
-//   interleaved       SoA leaf-routing A/B on the same point (pool on both
-//                     sides; DESIGN.md §12):
-//     configs                  two entries, routing on first:
-//       enabled                    true | false
-//       factor_wall_s              first numeric factorization, host s
-//       refactor_wall_median_s     median same-pattern refactor, host s
-//       factor_sim_s               simulated device seconds
-//       launches                   device launch count
-//     refactor_speedup         routing-off / routing-on refactor medians
-//                              (wall clock — report, do not gate)
-//     sim_speedup              routing-off / routing-on factor_sim_s
-//     refactor_dispatch_hits / _misses / _plan_hits
-//                              KernelCache traffic summed over the
-//                              routing-on refactor loop
-//     refactor_dispatch_hit_rate   (hits + plan_hits) / total over that
-//                              loop; 1.0 when the recorded DispatchPlan
-//                              replays cleanly
-//     factor_bits_identical    routing-on factor bytes == routing-off
 //   precision         FP32-vs-FP64 LU-IR A/B on the same point
 //                     (DESIGN.md §14; fresh solver per config, pool on):
 //     configs                  two entries, f32 first:
@@ -343,8 +310,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //
 //   precision_anchor_points   [ { ntheta, ncross, n, precision }, ... ] —
 //                             two large meshes ({48,12}, {64,16}) run for
-//                             the precision A/B only (no pool/interleaved
-//                             columns; they would dominate the runtime)
+//                             the precision A/B only (no pool columns;
+//                             they would dominate the runtime)
 //   precision_family_sim_speedup
 //                             work-weighted family aggregate: sum of f64
 //                             factor_sim_s over points + anchors divided
@@ -355,17 +322,16 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                             fallback
 //
 // The torus family mixes fat 3D points (ntheta x ncross x ncross with
-// ncross >= 6), whose fronts exceed the routable class sizes — the
-// interleaved columns are neutral there and the dispatch counters are
-// zero — with thin-tube points (ncross == 2) whose assembly trees consist
-// entirely of small fronts, the paper's deep-level regime where the SoA
-// routing has material coverage.
+// ncross >= 6), whose trees end in a few large root fronts, with
+// thin-tube points (ncross == 2) whose assembly trees consist entirely of
+// small fronts — the paper's deep-level regime of many tiny irregular
+// batches.
 //
 // The driver itself exits nonzero when any deterministic invariant fails
 // (sim time / launches / allocs / peak differ between pool configs, the
-// pool does not reduce host_allocs, the interleaved factor bits differ
-// from strided, or the family-wide refactor dispatch hit rate falls below
-// 0.9); ctest runs it as bench_factor_smoke.
+// pool does not reduce host_allocs, an FP32-path solve fails where FP64
+// converges, or — full runs only — the family FP32 speedup falls below
+// 1.5); ctest runs it as bench_factor_smoke.
 // ---------------------------------------------------------------------------
 
 // ---------------------------------------------------------------------------

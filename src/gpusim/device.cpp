@@ -110,9 +110,10 @@ void Device::end_launch(Stream& s, const LaunchConfig& cfg) {
     // those b is still enqueued and undercuts every other candidate.
     // Seeding the heap with just that subset (one bounded-max-heap pass
     // over the prefix) is therefore schedule-identical to heaping all
-    // num_sms * bps slots — which dominated the host cost of every launch
-    // with a small grid, exactly the leaf-batch regime the interleaved
-    // path cares about.
+    // num_sms * bps slots, whose heapify dominated the host cost of every
+    // small-grid launch (the leaf levels' tiny batches). test_gpusim's
+    // BoundedHeapSeedingMatchesBruteForceListSchedule checks the stream
+    // end times bitwise against an all-slots list schedule.
     using Slot = std::pair<double, std::size_t>;  // (free time, slot index)
     const std::size_t cand = std::min(nslots, slot_free_.size());
     const std::size_t take = std::min(block_costs_.size(), cand);

@@ -4,11 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <map>
 #include <memory>
 #include <string>
 
-#include "irrblas/interleaved.hpp"
 #include "lapack/blas.hpp"
 #include "lapack/flops.hpp"
 #include "lapack/lapack.hpp"
@@ -603,25 +601,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   }
   const batch::IrrLuOptions& lu_opts = lu_opts_of[0];
 
-  // ---- interleaved (SoA) small-front routing (DESIGN.md §12) -----------
-  // Single-stream batched engine only: the SoA slabs serialize a level's
-  // buckets onto one stream anyway, and the bitwise-identity argument is
-  // made against the single-stream strided schedule.
-  const bool use_ilv = opts.interleaved.enabled &&
-                       opts.engine == Engine::kBatched && num_streams == 1;
-  // Cap clamped to 32: above it the strided path switches to blocked
-  // panels / recursive TRSM whose operation order the interleaved kernels
-  // do not mirror (see InterleavedOptions::max_class_dim).
-  const int ilv_cap = std::min(opts.interleaved.max_class_dim, 32);
-  IRRLU_CHECK(opts.dispatch_plan == nullptr ||
-              opts.dispatch_cache != nullptr);
-  batch::KernelCache local_dispatch_cache;  // when the caller passed none
-  batch::KernelCache* const kcache = opts.dispatch_cache != nullptr
-                                         ? opts.dispatch_cache
-                                         : &local_dispatch_cache;
-  const batch::Dispatch disp{kcache, opts.dispatch_plan};
-  const batch::KernelCache::Stats dstats0 = kcache->stats();
-
   std::vector<std::unique_ptr<FrontGroup>> groups;  // keep alive
 
   // Factors one group of fronts as a single irregular batch on the given
@@ -732,212 +711,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
     return *groups.back();
   };
 
-  // Factors one level's routed fronts through the interleaved pipeline:
-  // each (s, u) class is packed into an SoA slab of the shared level
-  // workspace, then the whole level runs as ONE launch per stage — getf2,
-  // row swaps, the two TRSMs, the Schur GEMM — with every kernel
-  // vectorizing across the batch index. Per-lane operation sequences
-  // replicate the strided kernels exactly, so the unpacked factors are
-  // bit-identical to the strided schedule's.
-  auto factor_level_ilv_t = [&]<typename T>(
-                                const std::map<std::pair<int, int>,
-                                               std::vector<int>>& buckets) {
-    struct Slab {
-      int s = 0, u = 0, d = 0;
-      int count = 0;  ///< lanes (fronts) in this class
-      int base = 0;   ///< offset of the class within the level group
-      batch::IlvViewT<T> view{nullptr, 1, 0};
-    };
-    std::vector<Slab> slabs;
-    std::size_t total = 0;
-    int smax_routed = 0;
-    std::vector<int> routed_ids;
-    for (const auto& [su, bids] : buckets) {
-      Slab sl;
-      sl.s = su.first;
-      sl.u = su.second;
-      sl.d = sl.s + sl.u;
-      sl.count = static_cast<int>(bids.size());
-      sl.base = static_cast<int>(routed_ids.size());
-      total += static_cast<std::size_t>(sl.d) * sl.d *
-               static_cast<std::size_t>(sl.count);
-      smax_routed = std::max(smax_routed, sl.s);
-      routed_ids.insert(routed_ids.end(), bids.begin(), bids.end());
-      slabs.push_back(sl);
-    }
-    if (slabs.empty()) return;
-    IRRLU_TRACE_SCOPE(dev.tracer(),
-                      dev.tracer() ? front_class(routed_ids, sym) : "");
-    // ONE descriptor group for the whole level's routed fronts, in bucket
-    // order: every class addresses a contiguous subrange at its `base`, so
-    // a level pays one set of descriptor allocations instead of one per
-    // class (device allocations carry simulated cost; a deep tree has many
-    // single-front classes).
-    FrontGroup& g = make_group(routed_ids);
-    // Distinct workspace slabs per element type, so a mixed-policy tree
-    // never aliases float lanes over double ones.
-    T* const ws = dev.workspace<T>(
-        std::is_same_v<T, float> ? "mf.ilv.packf" : "mf.ilv.pack",
-        std::max<std::size_t>(total, 1));
-    T* const* const gsrc = [&] {
-      if constexpr (std::is_same_v<T, float>)
-        return g.ff.data();
-      else
-        return g.f.data();
-    }();
-    std::size_t off = 0;
-    for (auto& sl : slabs) {
-      sl.view = batch::IlvViewT<T>{ws + off, sl.d > 0 ? sl.d : 1, sl.count};
-      off += static_cast<std::size_t>(sl.d) * sl.d *
-             static_cast<std::size_t>(sl.count);
-    }
-    // Norm/growth harvest mirrors the strided group guard (count == 0 ||
-    // smax == 0 -> no diagnostics), applied to the routed collection.
-    const bool norms = opts.pivot_tau > 0 && smax_routed > 0;
-    {
-      std::vector<batch::IlvPackDescT<T>> descs;
-      for (auto& sl : slabs) {
-        batch::IlvPackDescT<T> d;
-        d.dst = sl.view;
-        d.m = sl.d;
-        d.n = sl.d;
-        d.lanes = sl.count;
-        d.src = gsrc + sl.base;
-        d.src_ld = g.ld.data() + sl.base;
-        d.absmax = norms ? g.anorm.data() + sl.base : nullptr;
-        descs.push_back(d);
-      }
-      batch::ilv_pack<T>(dev, stream, std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(
-            batch::getf2_key(sl.s, sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.c = sl.view.data;
-        d.args.ldc = sl.view.ld;
-        d.args.ipiv = g.ipiv.data() + sl.base;
-        d.args.info = g.info.data() + sl.base;
-        d.args.tau = norms ? opts.pivot_tau : 0.0;
-        d.args.anorm = norms ? g.anorm.data() + sl.base : nullptr;
-        d.args.boost = norms ? g.boost.data() + sl.base : nullptr;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::getrf_flops(sl.s, sl.s) * la::flop_weight<T>;
-        d.bytes_per_lane = 2.0 * sl.s * sl.s * sizeof(T) +
-                           static_cast<double>(sl.s) * sizeof(int);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_getf2", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvLaswpDescT<T>> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvLaswpDescT<T> d;
-        d.view = sl.view.subview(0, sl.s);
-        d.rows = sl.s;
-        d.width = sl.u;
-        d.lanes = sl.count;
-        d.ipiv = g.ipiv.data() + sl.base;
-        descs.push_back(d);
-      }
-      batch::ilv_laswp<T>(dev, stream, std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(batch::trsm_key(true, true, true, sl.s, sl.u,
-                                              batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = 1.0;
-        d.args.a = sl.view.data;
-        d.args.lda = sl.view.ld;
-        d.args.c = sl.view.sub(0, sl.s);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::trsm_flops(sl.s, sl.u) * la::flop_weight<T>;
-        d.bytes_per_lane = (0.5 * sl.s * sl.s + 2.0 * sl.s * sl.u) *
-                           sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_trsm_l", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(batch::trsm_key(false, false, false, sl.u,
-                                              sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = 1.0;
-        d.args.a = sl.view.data;
-        d.args.lda = sl.view.ld;
-        d.args.c = sl.view.sub(sl.s, 0);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane = la::trsm_flops(sl.s, sl.u) * la::flop_weight<T>;
-        d.bytes_per_lane = (0.5 * sl.s * sl.s + 2.0 * sl.s * sl.u) *
-                           sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_trsm_r", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvOpDesc> descs;
-      for (auto& sl : slabs) {
-        if (sl.s <= 0 || sl.u <= 0) continue;
-        batch::IlvOpDesc d;
-        d.kern = disp.resolve(
-            batch::gemm_key(sl.u, sl.u, sl.s, batch::kMicroPrecOf<T>));
-        d.args.batch = sl.view.batch;
-        d.args.alpha = -1.0;
-        d.args.beta = 1.0;
-        d.args.a = sl.view.sub(sl.s, 0);
-        d.args.lda = sl.view.ld;
-        d.args.b = sl.view.sub(0, sl.s);
-        d.args.ldb = sl.view.ld;
-        d.args.c = sl.view.sub(sl.s, sl.s);
-        d.args.ldc = sl.view.ld;
-        d.lanes = sl.count;
-        d.flops_per_lane =
-            la::gemm_flops(sl.u, sl.u, sl.s) * la::flop_weight<T>;
-        d.bytes_per_lane =
-            (2.0 * sl.u * sl.s + 2.0 * sl.u * sl.u) * sizeof(T);
-        descs.push_back(d);
-      }
-      batch::ilv_launch(dev, stream, "ilv_schur", std::move(descs));
-    }
-    {
-      std::vector<batch::IlvPackDescT<T>> descs;
-      for (auto& sl : slabs) {
-        batch::IlvPackDescT<T> d;
-        d.dst = sl.view;
-        d.m = sl.d;
-        d.n = sl.d;
-        d.lanes = sl.count;
-        d.src = gsrc + sl.base;
-        d.src_ld = g.ld.data() + sl.base;
-        d.absmax = norms ? g.gmax.data() + sl.base : nullptr;
-        descs.push_back(d);
-      }
-      batch::ilv_unpack<T>(dev, stream, std::move(descs));
-    }
-  };
-  auto factor_level_ilv = [&](const std::map<std::pair<int, int>,
-                                             std::vector<int>>& buckets,
-                              Precision prec) {
-    if (prec == Precision::kF32)
-      factor_level_ilv_t.template operator()<float>(buckets);
-    else
-      factor_level_ilv_t.template operator()<double>(buckets);
-  };
-
   // ---- the schedules ---------------------------------------------------
   switch (opts.engine) {
     case Engine::kBatched: {
@@ -961,27 +734,7 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
             small_ids.push_back(id);
         }
         if (num_streams == 1) {
-          if (use_ilv) {
-            // Route every front whose separator AND update extents fit
-            // the interleaved classes; the (rare) oversized leftovers run
-            // through the strided path as one group. std::map keys give a
-            // deterministic bucket order, so the dispatch-plan replay of a
-            // refactorization sees the same key sequence.
-            std::map<std::pair<int, int>, std::vector<int>> buckets;
-            std::vector<int> strided_ids;
-            for (int id : small_ids) {
-              const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-              if (fr.s() <= ilv_cap && fr.u() <= ilv_cap)
-                buckets[{fr.s(), fr.u()}].push_back(id);
-              else
-                strided_ids.push_back(id);
-            }
-            factor_level_ilv(buckets,
-                             level_prec_[static_cast<std::size_t>(lvl)]);
-            if (!strided_ids.empty()) factor_group(make_group(strided_ids));
-          } else if (!small_ids.empty()) {
-            factor_group(make_group(small_ids));
-          }
+          if (!small_ids.empty()) factor_group(make_group(small_ids));
           // Figure-14 hybrid: very large fronts as dedicated launches.
           for (int id : large_ids) factor_group(make_group({id}));
         } else {
@@ -1101,12 +854,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
       ++report_.fp32_fronts;
   report_.measured_peak_bytes = peak_bytes_;
   report_.predicted_peak_bytes = sym.predicted_peak_bytes(mode, level_prec_);
-  {
-    const batch::KernelCache::Stats& ds = kcache->stats();
-    report_.dispatch_hits = ds.hits - dstats0.hits;
-    report_.dispatch_misses = ds.misses - dstats0.misses;
-    report_.dispatch_plan_hits = ds.plan_hits - dstats0.plan_hits;
-  }
   n_ = a_perm.rows();
   anorm1_ = a_perm.norm_1();
   if (auto* tr = dev.tracer()) {
@@ -1140,16 +887,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
                             ? 32.0
                             : 64.0);
       }
-    }
-    if (use_ilv) {
-      tr->add_counter("dispatch.hits",
-                      static_cast<double>(report_.dispatch_hits));
-      tr->add_counter("dispatch.misses",
-                      static_cast<double>(report_.dispatch_misses));
-      tr->add_counter("dispatch.plan_hits",
-                      static_cast<double>(report_.dispatch_plan_hits));
-      tr->max_counter("dispatch.cached",
-                      static_cast<double>(kcache->size()));
     }
     // Top critical-path contributors of this factorization's launch
     // window (what-if replays skipped — they are the exporter's job).

@@ -17,10 +17,10 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "gpusim/device.hpp"
-#include "irrblas/dispatch.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "sparse/precision.hpp"
 #include "sparse/symbolic.hpp"
@@ -65,23 +65,6 @@ struct FactorOptions {
   /// reported through FactorReport. <= 0 disables recovery (and the norm /
   /// growth launches) entirely.
   double pivot_tau = 1e-10;
-  /// Interleaved (SoA) leaf routing (DESIGN.md §12): with enabled = true,
-  /// the batched single-stream engine packs each level's small fronts into
-  /// per-(s, u)-class SoA buffers and factors them with the dispatch-cached
-  /// batch-axis-vectorized kernels — one launch per pipeline stage for the
-  /// whole level, coalesced row swaps. Factor bits are identical to the
-  /// strided path; simulated time and traffic differ (that is the point),
-  /// so the default is off and the default output stays byte-identical.
-  batch::InterleavedOptions interleaved;
-  /// Kernel registry the interleaved routing resolves through. Null uses a
-  /// constructor-local transient cache (kernels rebuilt per factorization);
-  /// callers that refactor repeatedly (SparseDirectSolver, the PR 7
-  /// service sessions) pass a long-lived cache so later factorizations hit.
-  batch::KernelCache* dispatch_cache = nullptr;
-  /// Optional recorded resolution sequence for same-pattern refactors:
-  /// replayed resolutions skip even the cache's hash lookup. Requires
-  /// dispatch_cache; the caller must begin_replay() per factorization.
-  batch::DispatchPlan* dispatch_plan = nullptr;
   /// Front-factorization precision policy (classic LU-IR, DESIGN.md §14):
   /// kF64 factors every level in double — bit-identical to the
   /// pre-precision code path; kF32 factors every level in single (half the
@@ -114,13 +97,6 @@ struct FactorReport {
   /// summary.
   std::size_t predicted_peak_bytes = 0;
   std::size_t measured_peak_bytes = 0;
-  /// Dispatch-cache traffic of this factorization (all zero when the
-  /// interleaved routing is off): resolutions served from the cache hash
-  /// map, resolutions that built a kernel, and resolutions served by a
-  /// DispatchPlan replay without touching the hash map.
-  long dispatch_hits = 0;
-  long dispatch_misses = 0;
-  long dispatch_plan_hits = 0;
   /// Top kernels on the critical path of this factorization's launch
   /// window (up to 3, by on-path seconds, descending). Filled only when
   /// a tracer was attached and the trace replayed cleanly (see

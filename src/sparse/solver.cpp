@@ -74,28 +74,12 @@ void SparseDirectSolver::analyze(const CsrMatrix& a) {
     a_prep_ = aq.permute_symmetric(ord_.perm);
     sym_ = SymbolicAnalysis::build_from_etree(a_prep_);
   }
-  // A new pattern resolves a new dispatch sequence; stale entries would
-  // only produce one truncate-on-mismatch per analyze anyway, but clearing
-  // keeps the plan's size an honest per-pattern measure.
-  plan_.clear();
   analyzed_ = true;
-}
-
-FactorOptions SparseDirectSolver::factor_options() const {
-  FactorOptions fo = opts_.factor;
-  if (fo.dispatch_cache == nullptr) {
-    fo.dispatch_cache = &kcache_;
-    if (fo.dispatch_plan == nullptr) {
-      fo.dispatch_plan = &plan_;
-      plan_.begin_replay();
-    }
-  }
-  return fo;
 }
 
 void SparseDirectSolver::build_factor(gpusim::Device& dev) {
   factor_ = std::make_unique<MultifrontalFactor>(dev, a_prep_, sym_,
-                                                 factor_options());
+                                                 opts_.factor);
   // Factor-time escalation: pivot growth of this magnitude already wiped
   // out FP32's relative accuracy, so refinement from the FP32 factors
   // would fail anyway — refactor in FP64 up front instead of paying a
@@ -106,7 +90,7 @@ void SparseDirectSolver::build_factor(gpusim::Device& dev) {
 }
 
 void SparseDirectSolver::refactor_fp64() const {
-  FactorOptions fo = factor_options();
+  FactorOptions fo = opts_.factor;
   fo.precision = PrecisionPolicy::kF64;
   gpusim::Device& dev = factor_->device();
   factor_ = std::make_unique<MultifrontalFactor>(dev, a_prep_, sym_, fo);

@@ -170,15 +170,6 @@ class SparseDirectSolver {
 
   const SymbolicAnalysis& symbolic() const { return sym_; }
   const MultifrontalFactor& numeric() const { return *factor_; }
-  /// Solver-owned interleaved-dispatch state (see FactorOptions): the
-  /// kernel registry and the recorded resolution sequence live as long as
-  /// the solver, so every same-pattern refactor() replays its dispatch
-  /// (plan hits) instead of re-hashing — and a service session that owns
-  /// this solver gets pattern-keyed dispatch reuse by construction.
-  /// Cumulative across factor()/refactor() calls; per-factorization deltas
-  /// are in numeric().report().
-  const batch::KernelCache& dispatch_cache() const { return kcache_; }
-  const batch::DispatchPlan& dispatch_plan() const { return plan_; }
   std::vector<LevelStats> level_stats() const;
   /// Whether the last analyze() actually applied MC64 scaling (false when
   /// disabled by options *or* when MC64 found the matrix structurally
@@ -187,11 +178,6 @@ class SparseDirectSolver {
   bool mc64_active() const { return mc64_active_; }
 
  private:
-  /// opts_.factor augmented with the solver-owned dispatch cache/plan
-  /// (unless the caller wired their own); arms the plan replay. Const
-  /// because the LU-IR fallback re-factors from const solve paths — the
-  /// dispatch state it touches is mutable solver-internal machinery.
-  FactorOptions factor_options() const;
   /// Factor with the configured policy; escalates to FP64 when the
   /// mixed-precision factorization's measured pivot growth exceeds
   /// growth_refactor_threshold (see SolverOptions).
@@ -208,15 +194,13 @@ class SparseDirectSolver {
   void observe_refine_steps(int steps) const;
 
   const SolverOptions opts_;
-  /// Dispatch registry/plan and the factorization are mutable: the LU-IR
-  /// FP64 fallback rebuilds the factor inside const solve calls.
-  mutable batch::KernelCache kcache_;  ///< interleaved-kernel registry
-  mutable batch::DispatchPlan plan_;   ///< recorded dispatch of this pattern
   CsrMatrix a_;        ///< original matrix
   CsrMatrix a_prep_;   ///< scaled, column-permuted, symmetrically permuted
   ordering::Mc64Result mc64_;
   ordering::Ordering ord_;
   SymbolicAnalysis sym_;
+  /// Mutable: the LU-IR FP64 fallback rebuilds the factor inside const
+  /// solve calls.
   mutable std::unique_ptr<MultifrontalFactor> factor_;
   bool analyzed_ = false;
   bool mc64_active_ = false;  ///< per-analysis state, not a user option

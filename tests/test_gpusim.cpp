@@ -2,6 +2,7 @@
 // memory limits, stream timelines, memory accounting, and the cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "gpusim/device.hpp"
 
 using irrlu::Error;
@@ -254,8 +256,8 @@ TEST(DeviceModel, IntelPresetSane) {
 }
 
 TEST(Device, TimelineIsDeterministic) {
-  // Replaying the same launch program yields bit-identical simulated time
-  // (prerequisite for the autotuner's comparisons).
+  // Replaying the same launch program yields bit-identical simulated
+  // time.
   auto run = [] {
     Device dev(DeviceModel::a100());
     for (int i = 0; i < 20; ++i)
@@ -264,6 +266,108 @@ TEST(Device, TimelineIsDeterministic) {
     return dev.synchronize_all();
   };
   EXPECT_EQ(run(), run());
+}
+
+// Brute-force list schedule of one launch: every block, in issue order,
+// goes to the lexicographically smallest (free time, slot index) over ALL
+// num_sms * blocks_per_sm slots. Device::end_launch seeds its heap with
+// only the smallest `blocks` slots; this is the schedule that shortcut
+// must reproduce bit for bit.
+struct BruteForceSchedule {
+  DeviceModel m;
+  std::vector<double> slot_free;
+  std::vector<double> cursor;
+  double host = 0;
+
+  explicit BruteForceSchedule(const DeviceModel& model)
+      : m(model),
+        slot_free(static_cast<std::size_t>(model.num_sms) *
+                      static_cast<std::size_t>(model.max_blocks_per_sm),
+                  0.0) {}
+
+  double launch(int stream, std::size_t smem,
+                const std::vector<std::pair<double, double>>& costs) {
+    if (cursor.size() <= static_cast<std::size_t>(stream))
+      cursor.resize(static_cast<std::size_t>(stream) + 1, 0.0);
+    double& cur = cursor[static_cast<std::size_t>(stream)];
+    const double dispatch_done = host + m.host_dispatch_overhead;
+    host = dispatch_done;
+    const double earliest =
+        std::max(dispatch_done + m.device_launch_latency, cur);
+    const std::size_t nslots = static_cast<std::size_t>(m.num_sms) *
+                               static_cast<std::size_t>(m.blocks_per_sm(smem));
+    double end = earliest;
+    if (!costs.empty()) {
+      const double bw =
+          m.bandwidth_share(static_cast<int>(std::min(nslots, costs.size())));
+      for (const auto& [flops, bytes] : costs) {
+        std::size_t best = 0;
+        for (std::size_t i = 1; i < nslots; ++i)
+          if (slot_free[i] < slot_free[best]) best = i;
+        const double start = std::max(slot_free[best], earliest);
+        const double done =
+            start + m.block_start_overhead + m.block_seconds(flops, bytes, bw);
+        slot_free[best] = done;
+        end = std::max(end, done);
+      }
+    }
+    cur = end;
+    return end;
+  }
+};
+
+TEST(Device, BoundedHeapSeedingMatchesBruteForceListSchedule) {
+  // A 5-SM x 6-slot device: 30 slots at smem 0 or 4 KiB, 20 at 6 KiB, 15 at
+  // 8 KiB, so grids straddle the slot count of each occupancy class and the
+  // chunked threshold scan has whole chunks to skip. The A100 preset adds
+  // the production regime: small grids over thousands of slots.
+  DeviceModel small = DeviceModel::test_tiny();
+  small.num_sms = 5;
+  small.max_blocks_per_sm = 6;
+  small.shared_mem_per_sm = 24 << 10;
+  small.shared_mem_per_block = 8 << 10;
+  for (const DeviceModel& model : {small, DeviceModel::a100()}) {
+    SCOPED_TRACE(model.name);
+    Device dev(model);
+    BruteForceSchedule ref(model);
+    irrlu::Rng rng(4099);
+    const std::size_t smems[] = {0, 4 << 10, 6 << 10, 8 << 10};
+    for (int l = 0; l < 120; ++l) {
+      const int stream = l % 3;
+      const std::size_t smem = smems[static_cast<std::size_t>(l / 3) % 4];
+      const int nslots = model.num_sms * model.blocks_per_sm(smem);
+      // Smaller than, equal to and larger than the slot count; l % 7 == 6
+      // is an empty grid.
+      const int grids[] = {1, 3, nslots - 1, nslots, nslots + 1,
+                           2 * nslots + 7, 0};
+      const int blocks = std::min(grids[l % 7], 256);
+      // Uniform costs (l % 5 == 0) finish whole waves at one instant, so
+      // later launches see equal free times on many slots; near-uniform
+      // ones (l % 5 == 1, one flop apart) leave free times a few ulps
+      // apart. The rest are heterogeneous, including zero-cost blocks.
+      std::vector<std::pair<double, double>> costs;
+      for (int b = 0; b < blocks; ++b) {
+        if (l % 5 == 0)
+          costs.emplace_back(2e7, 6e5);
+        else if (l % 5 == 1)
+          costs.emplace_back(2e7 + 0.25 * (b % 3), 6e5);
+        else if (rng.uniform() < 0.1)
+          costs.emplace_back(0.0, 0.0);
+        else
+          costs.emplace_back(rng.uniform(0, 4e6), rng.uniform(0, 1e6));
+      }
+      dev.launch(dev.stream(stream), {"sched", blocks, smem},
+                 [&](BlockCtx& c) {
+                   const auto& [flops, bytes] =
+                       costs[static_cast<std::size_t>(c.block())];
+                   c.record(flops, bytes);
+                 });
+      const double want = ref.launch(stream, smem, costs);
+      ASSERT_EQ(dev.stream(stream).completion_time(), want)
+          << "launch " << l << ", " << blocks << " blocks over " << nslots
+          << " slots";
+    }
+  }
 }
 
 TEST(BlockCtx, SharedMemoryAllocationsAreAligned) {

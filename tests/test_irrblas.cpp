@@ -9,7 +9,6 @@
 
 #include "common/rng.hpp"
 #include "gpusim/device.hpp"
-#include "irrblas/autotune.hpp"
 #include "irrblas/dcwi.hpp"
 #include "irrblas/irr_kernels.hpp"
 #include "irrblas/vbatch.hpp"
@@ -842,51 +841,4 @@ TEST(IrrLu, ConcurrentSwapOptionMatchesDefault) {
   for (int i = 0; i < bs; ++i)
     for (int c = 0; c < n[static_cast<std::size_t>(i)]; ++c)
       ASSERT_EQ(pa.ipiv_of(i)[c], pb.ipiv_of(i)[c]);
-}
-
-// ---------------------------------------------------------------- autotune
-
-TEST(Autotune, PicksBestCandidate) {
-  Rng rng(157);
-  const auto sizes = rng.uniform_sizes(500, 1, 256);
-  const auto r = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), sizes, 48);
-  ASSERT_EQ(r.candidates.size(), r.seconds.size());
-  // The returned nb must be the argmin of the measured times.
-  double best = r.seconds[0];
-  int best_nb = r.candidates[0];
-  for (std::size_t i = 1; i < r.seconds.size(); ++i)
-    if (r.seconds[i] < best) {
-      best = r.seconds[i];
-      best_nb = r.candidates[i];
-    }
-  EXPECT_EQ(r.nb, best_nb);
-  EXPECT_TRUE(std::find(r.candidates.begin(), r.candidates.end(), r.nb) !=
-              r.candidates.end());
-}
-
-TEST(Autotune, DistributionDependent) {
-  // Tiny-matrix batches and large-matrix batches should be allowed to pick
-  // different widths; at minimum the tuner must run and return valid
-  // results on both distributions.
-  Rng rng(163);
-  const auto tiny = rng.uniform_sizes(300, 1, 24);
-  const auto big = rng.uniform_sizes(50, 384, 512);
-  const auto r1 = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), tiny, 32);
-  const auto r2 = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::a100(), big, 8);
-  EXPECT_GT(r1.nb, 0);
-  EXPECT_GT(r2.nb, 0);
-  for (double t : r1.seconds) EXPECT_GT(t, 0.0);
-  for (double t : r2.seconds) EXPECT_GT(t, 0.0);
-}
-
-TEST(Autotune, CustomCandidates) {
-  Rng rng(167);
-  const auto sizes = rng.uniform_sizes(64, 1, 64);
-  const auto r = irrlu::batch::autotune_panel_width(
-      irrlu::gpusim::DeviceModel::mi100(), sizes, 16, {4, 12});
-  EXPECT_TRUE(r.nb == 4 || r.nb == 12);
-  EXPECT_EQ(r.candidates, (std::vector<int>{4, 12}));
 }
