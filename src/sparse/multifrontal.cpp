@@ -641,10 +641,11 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
       // kernel (each touched row moves once through shared-memory chunks,
       // over a column-tiled grid); FP64 fronts keep the strided
       // irr_laswp_range. fig10 does not pin that choice — it drives
-      // irr_getrf only, never this driver. What does is the bench_factor
-      // family FP32/FP64 >= 1.5 gate: moving FP64 onto the staged kernel
-      // (or tiling the strided one) was measured to drop the ratio to
-      // 1.22 (DESIGN.md §14).
+      // irr_getrf only, never this driver. Moving FP64 onto the staged
+      // kernel was measured (DESIGN.md §14) to slow FP64 by 3-4% on the
+      // 12x6 torus and the 384x2/768x2 tubes while speeding up the fat
+      // meshes, and to drop the bench_factor family FP32/FP64 ratio from
+      // 1.76 to 1.51, just above its >= 1.5 gate.
       if constexpr (std::is_same_v<T, float>)
         batch::irr_laswp_range_staged<T>(
             dev, stream, 0, g.smax, g.umax, gf12, g.ld.data(), 0,
@@ -724,19 +725,8 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
         storage.ensure_level(lvl);
         assemble(ids);
         gather_children(ids);
-        std::vector<int> small_ids, large_ids;
-        for (int id : ids) {
-          const Front& fr = sym.fronts[static_cast<std::size_t>(id)];
-          if (opts.hybrid_gemm_threshold > 0 &&
-              fr.dim() > opts.hybrid_gemm_threshold)
-            large_ids.push_back(id);
-          else
-            small_ids.push_back(id);
-        }
         if (num_streams == 1) {
-          if (!small_ids.empty()) factor_group(make_group(small_ids));
-          // Figure-14 hybrid: very large fronts as dedicated launches.
-          for (int id : large_ids) factor_group(make_group({id}));
+          factor_group(make_group(ids));
         } else {
           // Multi-stream level processing: the level's independent fronts
           // split round-robin across streams; events fence the assembly
@@ -745,7 +735,7 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
           std::vector<std::vector<int>> parts(
               static_cast<std::size_t>(num_streams));
           int turn = 0;
-          for (int id : small_ids)
+          for (int id : ids)
             parts[static_cast<std::size_t>(turn++ % num_streams)]
                 .push_back(id);
           for (int s = 0; s < num_streams; ++s) {
@@ -754,14 +744,6 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
             auto& st = dev.stream(s);
             if (s != 0) dev.wait(st, ready);
             factor_group_on(make_group(part), st,
-                            lu_opts_of[static_cast<std::size_t>(s)]);
-          }
-          int lturn = 0;
-          for (int id : large_ids) {
-            const int s = lturn++ % num_streams;
-            auto& st = dev.stream(s);
-            if (s != 0) dev.wait(st, ready);
-            factor_group_on(make_group({id}), st,
                             lu_opts_of[static_cast<std::size_t>(s)]);
           }
           for (int s = 1; s < num_streams; ++s)

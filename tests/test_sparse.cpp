@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "fem/mesh.hpp"
+#include "fem/nedelec.hpp"
 #include "gpusim/device.hpp"
 #include "ordering/graph.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -577,6 +579,39 @@ TEST(MultiStream, LevelsSplitAcrossStreamsMatchSingleStream) {
   // host-serialized dispatch makes the launch-bound levels *slower* than
   // one fused irregular batch.
   EXPECT_GT(t4, t1);
+}
+
+TEST(Solver, BatchedFactorsEachLevelAsOneGroup) {
+  // Every front of a level, the ones above 256 included, rides the level's
+  // single irregular batch: one irr_getrf (so one irr_lu_setup launch) per
+  // non-empty level on one stream, and one per stream that received fronts
+  // when the level is split round-robin.
+  namespace fem = irrlu::fem;
+  const fem::HexMesh mesh = fem::HexMesh::torus(16, 8, 8);
+  const double omega = 16.0;
+  const fem::EdgeSystem sys = fem::assemble_maxwell(
+      mesh, omega, fem::paper_maxwell_load(omega, omega / 1.05));
+  for (int streams : {1, 2}) {
+    SCOPED_TRACE(streams);
+    Device dev(DeviceModel::a100());
+    SolverOptions opts;
+    opts.nd.leaf_size = 16;
+    opts.factor.num_streams = streams;
+    SparseDirectSolver solver(opts);
+    solver.analyze(sys.a);
+    const SymbolicAnalysis& sym = solver.symbolic();
+    ASSERT_GT(sym.max_front_dim, 256);
+    long groups = 0;  // at one stream: the non-empty levels
+    for (const auto& lv : sym.levels)
+      groups += std::min<long>(streams, static_cast<long>(lv.size()));
+    solver.factor(dev);
+    ASSERT_EQ(dev.profile().count("irr_lu_setup"), 1u);
+    const long setups = dev.profile().at("irr_lu_setup").launches;
+    EXPECT_EQ(setups, groups);
+    EXPECT_TRUE(solver.numeric().numerically_ok());
+    const auto x = solver.solve(sys.b);
+    EXPECT_LT(solver.residual(x, sys.b), 1e-12);
+  }
 }
 
 TEST(Solver, MultipleRightHandSides) {
