@@ -42,6 +42,7 @@ struct ShapeClass {
   la::Side side = la::Side::Left;
   la::Uplo uplo = la::Uplo::Lower;
   int m = 0, n = 0, k = 0;  // trsm ignores k
+  bool f32 = false;          // float instead of double (gemm only)
   double flops() const {
     return op == "gemm" ? la::gemm_flops(m, n, k)
                         : la::trsm_flops(side == la::Side::Left ? m : n,
@@ -78,27 +79,35 @@ struct Result {
   double engine_ns, naive_ns;
 };
 
+template <typename T>
+void time_gemm(const ShapeClass& c, int rep_scale, Rng& rng, Result& res) {
+  const int ar = c.transa == la::Trans::No ? c.m : c.k;
+  const int ac = c.transa == la::Trans::No ? c.k : c.m;
+  const int br = c.transb == la::Trans::No ? c.k : c.n;
+  const int bc = c.transb == la::Trans::No ? c.n : c.k;
+  std::vector<T> a(static_cast<std::size_t>(ar) * ac),
+      b(static_cast<std::size_t>(br) * bc),
+      cc(static_cast<std::size_t>(c.m) * c.n, T{});
+  for (auto& v : a) v = static_cast<T>(rng.uniform(-1, 1));
+  for (auto& v : b) v = static_cast<T>(rng.uniform(-1, 1));
+  res.engine_ns = median_ns_for(c.flops(), rep_scale, [&] {
+    la::gemm(c.transa, c.transb, c.m, c.n, c.k, T(-1), a.data(), ar,
+             b.data(), br, T(1), cc.data(), c.m);
+  });
+  res.naive_ns = median_ns_for(c.flops(), rep_scale, [&] {
+    la::ref::gemm(c.transa, c.transb, c.m, c.n, c.k, T(-1), a.data(), ar,
+                  b.data(), br, T(1), cc.data(), c.m);
+  });
+}
+
 Result run_class(const ShapeClass& c, int rep_scale) {
   Rng rng(4242);
   Result res{c, 0, 0};
   if (c.op == "gemm") {
-    const int ar = c.transa == la::Trans::No ? c.m : c.k;
-    const int ac = c.transa == la::Trans::No ? c.k : c.m;
-    const int br = c.transb == la::Trans::No ? c.k : c.n;
-    const int bc = c.transb == la::Trans::No ? c.n : c.k;
-    std::vector<double> a(static_cast<std::size_t>(ar) * ac),
-        b(static_cast<std::size_t>(br) * bc),
-        cc(static_cast<std::size_t>(c.m) * c.n, 0.0);
-    for (auto& v : a) v = rng.uniform(-1, 1);
-    for (auto& v : b) v = rng.uniform(-1, 1);
-    res.engine_ns = median_ns_for(c.flops(), rep_scale, [&] {
-      la::gemm(c.transa, c.transb, c.m, c.n, c.k, -1.0, a.data(), ar,
-               b.data(), br, 1.0, cc.data(), c.m);
-    });
-    res.naive_ns = median_ns_for(c.flops(), rep_scale, [&] {
-      la::ref::gemm(c.transa, c.transb, c.m, c.n, c.k, -1.0, a.data(), ar,
-                    b.data(), br, 1.0, cc.data(), c.m);
-    });
+    if (c.f32)
+      time_gemm<float>(c, rep_scale, rng, res);
+    else
+      time_gemm<double>(c, rep_scale, rng, res);
   } else {
     const int ta = c.side == la::Side::Left ? c.m : c.n;
     std::vector<double> t(static_cast<std::size_t>(ta) * ta),
@@ -132,7 +141,9 @@ int main(int argc, char** argv) {
 
   // Figure-13-style front distribution: (s, u) representative pairs from
   // leaf to root, GEMM Schur updates u x u x s in all four transpose
-  // combinations at the mid size, plus the TRSM panel classes.
+  // combinations at the mid size, plus the TRSM panel classes. Every GEMM
+  // class also runs in FP32 (name suffix "_f32"): the FP32 factor levels
+  // run on the same engine, and a slow float tile shows nowhere else.
   std::vector<ShapeClass> classes;
   const struct { const char* tag; int s, u; } fronts[] = {
       {"leaf", 16, 24}, {"mid", 64, 96}, {"sep", 128, 160}, {"root", 256, 320},
@@ -150,6 +161,13 @@ int main(int argc, char** argv) {
                          "gemm", ta, tb, la::Side::Left, la::Uplo::Lower, 96,
                          96, 64});
     }
+  const std::size_t num_gemm = classes.size();
+  for (std::size_t i = 0; i < num_gemm; ++i) {
+    ShapeClass c = classes[i];
+    c.name += "_f32";
+    c.f32 = true;
+    classes.push_back(c);
+  }
   for (const auto& f : fronts) {
     classes.push_back({std::string("trsm_ll_") + f.tag, "trsm", la::Trans::No,
                        la::Trans::No, la::Side::Left, la::Uplo::Lower, f.s,
@@ -203,7 +221,7 @@ int main(int argc, char** argv) {
     w.kv("speedup", r.naive_ns / r.engine_ns, "%.3f");
     w.kv("layout", "strided");
     w.kv_int("batch", 1);
-    w.kv("prec", "f64");
+    w.kv("prec", c.f32 ? "f32" : "f64");
     w.end_object();
   }
   w.end_array();

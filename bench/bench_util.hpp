@@ -233,7 +233,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 // distribution (leaf / mid / sep / root representative (s, u) pairs mapped
 // onto the GEMM Schur update u x u x s and the TRSM panel solves):
 //
-//   name             "gemm_nn_mid", "trsm_ll_root", ... (stable key)
+//   name             "gemm_nn_mid", "trsm_ll_root", ... (stable key);
+//                    each gemm class has an FP32 twin "<name>_f32"
 //   op               "gemm" | "trsm"
 //   transa, transb   "N" | "T"       (gemm; "N"/"N" placeholders for trsm)
 //   side, uplo       "L"/"R", "L"/"U" (trsm; placeholders for gemm)
@@ -244,8 +245,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                    engine algorithms, compiled with project-default flags)
 //   engine_gflops, naive_gflops    flops / median_ns
 //   speedup          naive_median_ns / engine_median_ns
-//   layout, batch, prec   "strided", 1, "f64" on every row: one
-//                    double-precision matrix per call
+//   layout, batch    "strided", 1 on every row: one matrix per call
+//   prec             "f64", or "f32" on the "_f32" gemm twins
 //
 // Medians are taken over a work-scaled, odd repetition count after a
 // wall-time-bounded warm-up (a few ms of sustained work, so microsecond-
@@ -278,7 +279,8 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //     refactor_wall_median_s  median over `repeats` same-pattern refactors
 //                             (the sequence-of-systems scenario the pool
 //                             accelerates; every allocation recycles here)
-//     solve_wall_s            one solve with refinement, host seconds
+//     solve_wall_s            median of `repeats` solves with refinement,
+//                             host seconds
 //     factor_sim_s            simulated device seconds — bitwise equal
 //                             between the two configs by construction
 //     launches, allocs        device launch / allocation event counts

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 namespace irrlu::la::mk {
@@ -87,17 +88,98 @@ void pack_b(Trans transb, int kc, int nc, const T* b, int ldb, int p0,
   }
 }
 
-/// The register micro-kernel: acc(MR x NR) += pa-panel * pb-panel over kc
-/// steps. acc lives in registers for the constexpr tile sizes; both
-/// panels are read at unit stride.
+/// Width of one SIMD register of the compile target. The vector tile is
+/// sized from it so a portable (SSE2) build keeps its accumulators in
+/// registers instead of splitting 64-byte vectors into spilled halves.
+#if defined(__AVX512F__)
+constexpr int kVecBytes = 64;
+#elif defined(__AVX__)
+constexpr int kVecBytes = 32;
+#else
+constexpr int kVecBytes = 16;
+#endif
+
+/// Register-tile geometry: MR = MV slices of L rows by NR columns. For
+/// float/double a slice is one vector, two per column by four columns (8
+/// vector accumulators: 32x4 / 16x4 floats/doubles under AVX-512, 16x4 /
+/// 8x4 under AVX, 8x4 / 4x4 under SSE2); std::complex<double> runs one
+/// scalar 4x2 slice. The tile changes speed only (see TileTraits).
+template <typename T>
+struct RegTile {
+  static constexpr int L = kVecBytes / static_cast<int>(sizeof(T));
+  static constexpr int MV = 2, MR = MV * L, NR = 4;
+};
+template <>
+struct RegTile<std::complex<double>> {
+  static constexpr int L = 4;
+  static constexpr int MV = 1, MR = L, NR = 2;
+};
+
+/// Adds alpha * acc (column-major, leading dimension MR) to the mr x nr
+/// corner of C, one rounding for the product and one for the sum per
+/// element, as the scalar store would.
 template <typename T, int MR, int NR>
+inline void store_tile(int mr, int nr, T alpha, const T* __restrict acc,
+                       T* __restrict ct, int ldc) {
+  for (int j = 0; j < nr; ++j)
+    for (int i = 0; i < mr; ++i)
+      ct[static_cast<std::ptrdiff_t>(j) * ldc + i] += alpha * acc[j * MR + i];
+}
+
+/// The register micro-kernel: C(mr x nr corner) += alpha * (pa-panel *
+/// pb-panel) over kc steps, both panels read at unit stride. For
+/// float/double the MR x NR accumulators are MV = MR / L vector locals
+/// per column: each step loads the packed A slice once and broadcasts
+/// pb[j] into it. Every accumulator lane starts at zero and adds its
+/// products in ascending p, exactly as the scalar loop does, so the tile
+/// shape changes speed only. MVU < MV skips the all-padding vectors of a
+/// short edge tile.
+template <typename T, int MR, int NR, int MVU>
 inline void ukernel(int kc, const T* __restrict pa, const T* __restrict pb,
-                    T* __restrict acc) {
-  for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
-    for (int j = 0; j < NR; ++j) {
-      const T bpj = pb[j];
-      for (int i = 0; i < MR; ++i) acc[j * MR + i] += pa[i] * bpj;
+                    int mr, int nr, T alpha, T* __restrict ct, int ldc) {
+  if constexpr (std::is_floating_point_v<T>) {
+    // GCC vector extension, one register of the target. Vectors live only
+    // in these locals, never in a parameter or return value, so no vector
+    // crosses a call boundary and the psABI is not involved.
+    typedef T V __attribute__((vector_size(kVecBytes)));
+    constexpr int L = RegTile<T>::L;
+    static_assert(MR % L == 0 && MVU >= 1 && MVU <= MR / L);
+    V acc[NR][MVU] = {};
+    for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
+      V a[MVU];
+      for (int v = 0; v < MVU; ++v)
+        __builtin_memcpy(&a[v], pa + v * L, sizeof(V));
+      for (int j = 0; j < NR; ++j) {
+        const T b = pb[j];
+        for (int v = 0; v < MVU; ++v) acc[j][v] += a[v] * b;
+      }
     }
+    if (mr == MVU * L) {
+      for (int j = 0; j < nr; ++j)
+        for (int v = 0; v < MVU; ++v) {
+          T* cp = ct + static_cast<std::ptrdiff_t>(j) * ldc + v * L;
+          V c;
+          __builtin_memcpy(&c, cp, sizeof(V));
+          c += alpha * acc[j][v];
+          __builtin_memcpy(cp, &c, sizeof(V));
+        }
+    } else {
+      T tile[NR * MVU * L];
+      for (int j = 0; j < NR; ++j)
+        for (int v = 0; v < MVU; ++v)
+          __builtin_memcpy(tile + (j * MVU + v) * L, &acc[j][v], sizeof(V));
+      store_tile<T, MVU * L, NR>(mr, nr, alpha, tile, ct, ldc);
+    }
+  } else {
+    static_assert(MVU == 1 && MR == RegTile<T>::L);
+    T acc[MR * NR] = {};
+    for (int p = 0; p < kc; ++p, pa += MR, pb += NR) {
+      for (int j = 0; j < NR; ++j) {
+        const T bpj = pb[j];
+        for (int i = 0; i < MR; ++i) acc[j * MR + i] += pa[i] * bpj;
+      }
+    }
+    store_tile<T, MR, NR>(mr, nr, alpha, acc, ct, ldc);
   }
 }
 
@@ -107,7 +189,8 @@ template <typename T>
 void gemm_packed(Trans transa, Trans transb, int m, int n, int k, T alpha,
                  const T* a, int lda, const T* b, int ldb, T* c, int ldc) {
   using TT = TileTraits<T>;
-  constexpr int MR = TT::MR, NR = TT::NR;
+  using RT = RegTile<T>;
+  constexpr int MR = RT::MR, NR = RT::NR, L = RT::L, MV = RT::MV;
   constexpr int MC = TT::MC, KC = TT::KC, NC = TT::NC;
   static_assert(MC % MR == 0 && NC % NR == 0);
   if (m <= 0 || n <= 0 || k <= 0 || alpha == T{}) return;
@@ -133,14 +216,14 @@ void gemm_packed(Trans transa, Trans transb, int m, int n, int k, T alpha,
           for (int ir = 0; ir < mc; ir += MR) {
             const int mr = std::min(MR, mc - ir);
             const T* pa = pa_buf + static_cast<std::ptrdiff_t>(ir) * kc;
-            T acc[MR * NR] = {};
-            ukernel<T, MR, NR>(kc, pa, pb, acc);
-            // Store the valid part of the (possibly padded) tile.
             T* ct = ctile + ir;
-            for (int j = 0; j < nr; ++j)
-              for (int i = 0; i < mr; ++i)
-                ct[static_cast<std::ptrdiff_t>(j) * ldc + i] +=
-                    alpha * acc[j * MR + i];
+            if constexpr (MV > 1) {
+              if (mr <= L) {
+                ukernel<T, MR, NR, 1>(kc, pa, pb, mr, nr, alpha, ct, ldc);
+                continue;
+              }
+            }
+            ukernel<T, MR, NR, MV>(kc, pa, pb, mr, nr, alpha, ct, ldc);
           }
         }
       }

@@ -10,9 +10,10 @@
 //    into contiguous, zero-padded panels (thread-local buffers, reused
 //    across calls), so all four transpose combinations run at unit
 //    stride;
-//  - an MR x NR register tile (8x4 for double/float, 4x2 for
-//    std::complex<double>) accumulated in registers and written back
-//    once, with edge tiles handled by computing the full padded tile and
+//  - an MR x NR register tile accumulated in explicit SIMD vectors for
+//    float/double (two vectors of the compile target's width by four
+//    columns) and in a scalar 4x2 loop for std::complex<double>, written
+//    back once, with edge tiles handled by computing the padded tile and
 //    storing only the valid part;
 //  - unrolled multi-column fast paths for the level-2 kernels (ger/gemv)
 //    that dominate the column-wise panel fallback of irrLU.
@@ -29,28 +30,28 @@
 
 namespace irrlu::la::mk {
 
-/// Register-tile geometry and cache-blocking parameters per element type.
-/// MC is a multiple of MR and NC a multiple of NR; KC*(MR+NR) elements
-/// (one A panel + one B panel) are sized to stay resident in L1 while a
-/// packed MC x KC block of A stays in L2.
+/// Cache-blocking parameters per element type, the same on every ISA.
+/// A packed MC x KC block of A is sized to stay in L2 and one KC-deep A
+/// and B panel pair in L1. KC is also part of the numerical contract:
+/// each element of C receives one `C += alpha * acc` per KC chunk of the
+/// inner dimension, where acc sums that chunk in ascending order. MC and
+/// NC are multiples of every register-tile height and width the engine
+/// compiles to (microkernel.cpp), so they never change a result.
 template <typename T>
 struct TileTraits;
 
 template <>
 struct TileTraits<float> {
-  static constexpr int MR = 8, NR = 4;
   static constexpr int MC = 128, KC = 320, NC = 512;
 };
 
 template <>
 struct TileTraits<double> {
-  static constexpr int MR = 8, NR = 4;
   static constexpr int MC = 96, KC = 256, NC = 512;
 };
 
 template <>
 struct TileTraits<std::complex<double>> {
-  static constexpr int MR = 4, NR = 2;
   static constexpr int MC = 64, KC = 128, NC = 256;
 };
 
@@ -59,7 +60,10 @@ struct TileTraits<std::complex<double>> {
 /// caller has already applied beta to C and screened out alpha == 0 /
 /// degenerate extents. Deterministic: repeated calls with the same inputs
 /// produce bit-identical results (packing buffers are fully rewritten,
-/// padding included, on every pack).
+/// padding included, on every pack), and every build rounds alike: the
+/// engine is compiled without floating-point contraction, so the per-
+/// element order documented on TileTraits is the whole story whatever
+/// the register tile or the target ISA.
 template <typename T>
 void gemm_packed(Trans transa, Trans transb, int m, int n, int k, T alpha,
                  const T* a, int lda, const T* b, int ldb, T* c, int ldc);
