@@ -43,11 +43,6 @@ double wall_s(const std::function<void()>& f) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 /// Everything recorded about one (mesh point, pool flag) run.
 struct ConfigResult {
   bool pool = false;
@@ -236,9 +231,12 @@ int main(int argc, char** argv) {
         sessions[i].reset();
         devs[i] = std::make_unique<gpusim::Device>(model_by_name(device),
                                                    pool);
-        sessions[i] = make_trace_session(
-            *devs[i], args,
-            "N" + std::to_string(pt.n) + (pool ? ".pool-on" : ".pool-off"));
+        // Appended piecewise: `"N" + std::to_string(...)` trips GCC 12's
+        // -Wrestrict false positive at -O3.
+        std::string label = "N";
+        label += std::to_string(pt.n);
+        label += pool ? ".pool-on" : ".pool-off";
+        sessions[i] = make_trace_session(*devs[i], args, label);
         sparse::SolverOptions opts;
         opts.nd.leaf_size = 16;
         opts.factor.precision = main_policy;

@@ -7,6 +7,7 @@
 // runs.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +65,13 @@ inline double batch_trsm_flops(const std::vector<int>& m,
 
 inline double gflops(double flops, double seconds) {
   return seconds > 0 ? flops / seconds / 1e9 : 0.0;
+}
+
+/// Median of repeated wall-clock samples (the upper one for an even
+/// count); `v` must not be empty.
+inline double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 /// The commit the benchmark binary ran against: GITHUB_SHA when CI set
@@ -358,7 +366,9 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                                solve_report_many() (deterministic)
 //   speedup                      seq_sim_s / batched_sim_s; asserted
 //                                >= 2 at nrhs >= 64
-//   seq_wall_s, batched_wall_s   host wall clock (report only)
+//   seq_wall_s, batched_wall_s   host wall clock, median of 3 (--quick)
+//                                or 5 passes (report only; every other
+//                                column is from the first pass)
 //   seq_launches, batched_launches
 //                                device launches per phase: per-RHS-per-
 //                                level vs per-level

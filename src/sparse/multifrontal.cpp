@@ -578,40 +578,29 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   };
 
   // ---- factorization workspaces (allocated once: fully async driver) --
-  // One workspace pair per stream, so multi-stream level processing does
-  // not race on them.
-  const int num_streams =
-      opts.engine == Engine::kBatched ? std::max(1, opts.num_streams) : 1;
   int max_batch = 1;
   for (const auto& lv : sym.levels)
     max_batch = std::max(max_batch, static_cast<int>(lv.size()));
   const int nb = std::max(1, opts.lu.nb);
-  std::vector<gpusim::DeviceBuffer<int>> kmin_ws, laswp_ws;
-  std::vector<batch::IrrLuOptions> lu_opts_of(
-      static_cast<std::size_t>(num_streams), opts.lu);
-  for (int s = 0; s < num_streams; ++s) {
+  gpusim::DeviceBuffer<int> kmin_ws, laswp_ws;
+  {
     IRRLU_TRACE_SCOPE(dev.tracer(), "workspace");
-    kmin_ws.push_back(dev.alloc<int>(static_cast<std::size_t>(max_batch)));
-    laswp_ws.push_back(
-        dev.alloc<int>(batch::irr_laswp_workspace_size(max_batch, nb)));
-    lu_opts_of[static_cast<std::size_t>(s)].kmin_workspace =
-        kmin_ws.back().data();
-    lu_opts_of[static_cast<std::size_t>(s)].laswp_workspace =
-        laswp_ws.back().data();
+    kmin_ws = dev.alloc<int>(static_cast<std::size_t>(max_batch));
+    laswp_ws = dev.alloc<int>(batch::irr_laswp_workspace_size(max_batch, nb));
   }
-  const batch::IrrLuOptions& lu_opts = lu_opts_of[0];
+  batch::IrrLuOptions lu_opts = opts.lu;
+  lu_opts.kmin_workspace = kmin_ws.data();
+  lu_opts.laswp_workspace = laswp_ws.data();
 
   std::vector<std::unique_ptr<FrontGroup>> groups;  // keep alive
 
-  // Factors one group of fronts as a single irregular batch on the given
-  // stream, in the group's precision: the FP32 instantiations run the
-  // same pivoting/boost/blocking decisions on float lanes at double flop
-  // rate (la::flop_weight) and half the traffic.
+  // Factors one group of fronts as a single irregular batch, in the
+  // group's precision: the FP32 instantiations run the same
+  // pivoting/boost/blocking decisions on float lanes at double flop rate
+  // (la::flop_weight) and half the traffic.
   auto factor_group_t = [&]<typename T>(const FrontGroup& g, T* const* gf,
                                         T* const* gf12, T* const* gf21,
-                                        T* const* gf22,
-                                        gpusim::Stream& stream,
-                                        const batch::IrrLuOptions& lu_opts) {
+                                        T* const* gf22) {
     batch::IrrLuOptions lu = lu_opts;
     if constexpr (std::is_same_v<T, float>) {
       // FP32 panels run twice as wide (DESIGN.md §14): a 2*nb single-
@@ -682,23 +671,16 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
                       g.gmax.data());
   };
 
-  auto factor_group_on = [&](const FrontGroup& g, gpusim::Stream& stream,
-                             const batch::IrrLuOptions& lu_opts) {
+  auto factor_group = [&](const FrontGroup& g) {
     if (g.count == 0 || g.smax == 0) return;
     IRRLU_TRACE_SCOPE(dev.tracer(),
                       dev.tracer() ? front_class(g.ids, sym) : "");
     if (g.prec == Precision::kF32)
       factor_group_t.template operator()<float>(
-          g, g.ff.data(), g.ff12.data(), g.ff21.data(), g.ff22.data(),
-          stream, lu_opts);
+          g, g.ff.data(), g.ff12.data(), g.ff21.data(), g.ff22.data());
     else
       factor_group_t.template operator()<double>(
-          g, g.f.data(), g.f12.data(), g.f21.data(), g.f22.data(), stream,
-          lu_opts);
-  };
-
-  auto factor_group = [&](const FrontGroup& g) {
-    factor_group_on(g, stream, lu_opts);
+          g, g.f.data(), g.f12.data(), g.f21.data(), g.f22.data());
   };
 
   auto make_group = [&](const std::vector<int>& ids) -> FrontGroup& {
@@ -725,30 +707,7 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
         storage.ensure_level(lvl);
         assemble(ids);
         gather_children(ids);
-        if (num_streams == 1) {
-          factor_group(make_group(ids));
-        } else {
-          // Multi-stream level processing: the level's independent fronts
-          // split round-robin across streams; events fence the assembly
-          // before and the extraction after.
-          const gpusim::Event ready = dev.record(stream);
-          std::vector<std::vector<int>> parts(
-              static_cast<std::size_t>(num_streams));
-          int turn = 0;
-          for (int id : ids)
-            parts[static_cast<std::size_t>(turn++ % num_streams)]
-                .push_back(id);
-          for (int s = 0; s < num_streams; ++s) {
-            const auto& part = parts[static_cast<std::size_t>(s)];
-            if (part.empty()) continue;
-            auto& st = dev.stream(s);
-            if (s != 0) dev.wait(st, ready);
-            factor_group_on(make_group(part), st,
-                            lu_opts_of[static_cast<std::size_t>(s)]);
-          }
-          for (int s = 1; s < num_streams; ++s)
-            dev.wait(stream, dev.record(dev.stream(s)));
-        }
+        factor_group(make_group(ids));
         extract_factors(ids);
         if (lvl < deepest) storage.release_level(lvl + 1);
       }
@@ -904,56 +863,21 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
     int s, u, sep_begin;
   };
 
-  // FP32 levels are promoted into per-call double buffers by a charged
-  // mf_promote launch before the triangular kernels touch them; FP64
-  // levels point straight into the factor store (the pre-precision path).
-  std::vector<gpusim::DeviceBuffer<double>> promoted;
+  // Every level's factor blocks in double; FP32 levels are promoted once
+  // and both sweeps read the same view.
+  const int nlevels = static_cast<int>(sym_.levels.size());
+  std::vector<LevelBlocks> blocks(static_cast<std::size_t>(nlevels));
+  for (int lvl = 0; lvl < nlevels; ++lvl)
+    blocks[static_cast<std::size_t>(lvl)] = level_blocks(lvl);
 
   auto level_metas = [&](int lvl, bool forward) {
     auto metas = std::make_shared<std::vector<Meta>>();
-    const bool f32 =
-        level_prec_[static_cast<std::size_t>(lvl)] == Precision::kF32;
-    double* pbase = nullptr;
-    if (f32) {
-      std::size_t total = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        total += static_cast<std::size_t>(fr.s()) * fr.s() +
-                 2 * static_cast<std::size_t>(fr.s()) * fr.u();
-      }
-      promoted.push_back(dev_.alloc<double>(std::max<std::size_t>(total, 1)));
-      pbase = promoted.back().data();
-      std::vector<PromoteMeta> pm;
-      std::size_t off = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        const std::size_t elems =
-            static_cast<std::size_t>(fr.s()) * fr.s() +
-            2 * static_cast<std::size_t>(fr.s()) * fr.u();
-        pm.push_back({f11f(id), pbase + off, elems});
-        off += elems;
-      }
-      promote_fp32(dev_, stream, std::move(pm));
-    }
-    std::size_t poff = 0;
+    const auto& fb = blocks[static_cast<std::size_t>(lvl)].fronts;
     for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
       const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
       if (fr.s() == 0) continue;
-      const double* F11;
-      const double* OFF;
-      if (f32) {
-        const auto ss = static_cast<std::size_t>(fr.s()) * fr.s();
-        const auto su = static_cast<std::size_t>(fr.s()) * fr.u();
-        F11 = pbase + poff;
-        OFF = forward ? pbase + poff + ss + su : pbase + poff + ss;
-        poff += ss + 2 * su;
-      } else {
-        F11 = f11(id);
-        OFF = forward ? l21(id) : u12(id);
-      }
-      metas->push_back({F11, OFF, front_ipiv(id),
+      const FrontBlocks& b = fb[metas->size()];
+      metas->push_back({b.f11, forward ? b.l21 : b.u12, front_ipiv(id),
                         upd_storage_.data() +
                             upd_offset_[static_cast<std::size_t>(id)],
                         fr.s(), fr.u(), fr.sep_begin});
@@ -972,8 +896,7 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
 
   // Forward sweep, leaves to root: x_s <- L11^{-1} P x_s;
   // x[upd] -= L21 x_s.
-  for (int lvl = static_cast<int>(sym_.levels.size()) - 1; lvl >= 0;
-       --lvl) {
+  for (int lvl = nlevels - 1; lvl >= 0; --lvl) {
     IRRLU_TRACE_SCOPE(dev_.tracer(), "fwd");
     auto metas = level_metas(lvl, /*forward=*/true);
     if (metas->empty()) continue;
@@ -1000,9 +923,9 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
     });
   }
   // Backward sweep, root to leaves: x_s <- U11^{-1}(x_s - U12 x[upd]).
-  for (std::size_t lvl = 0; lvl < sym_.levels.size(); ++lvl) {
+  for (int lvl = 0; lvl < nlevels; ++lvl) {
     IRRLU_TRACE_SCOPE(dev_.tracer(), "bwd");
-    auto metas = level_metas(static_cast<int>(lvl), /*forward=*/false);
+    auto metas = level_metas(lvl, /*forward=*/false);
     if (metas->empty()) continue;
     auto tmp = level_scratch(*metas);
     dev_.launch(stream, {"mf_solve_bwd", static_cast<int>(metas->size()), 0},
@@ -1026,15 +949,6 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
   }
   dev_.synchronize(stream);
   std::copy(dx.data(), dx.data() + n, x.begin());
-}
-
-void MultifrontalFactor::solve_many(std::vector<double>& x, int nrhs) const {
-  IRRLU_CHECK_MSG(nrhs >= 0, "solve_many(): negative nrhs");
-  IRRLU_CHECK_MSG(x.size() == static_cast<std::size_t>(n_) *
-                                  static_cast<std::size_t>(nrhs),
-                  "solve_many(): x holds " << x.size() << " elements, want n*"
-                                           << "nrhs = " << n_ << "*" << nrhs);
-  solve_many(x.data(), nrhs);
 }
 
 void MultifrontalFactor::solve_many(double* x, int nrhs) const {
@@ -1093,34 +1007,8 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
     }
     if (L.bs == 0) continue;
     const auto bsz = static_cast<std::size_t>(L.bs);
-    const bool f32 =
-        level_prec_[static_cast<std::size_t>(lvl)] == Precision::kF32;
-    double* pbase = nullptr;
-    if (f32) {
-      // One promotion per level per call: both sweeps read the same
-      // FP64 view.
-      std::size_t total = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        total += static_cast<std::size_t>(fr.s()) * fr.s() +
-                 2 * static_cast<std::size_t>(fr.s()) * fr.u();
-      }
-      L.promoted = dev_.alloc<double>(std::max<std::size_t>(total, 1));
-      pbase = L.promoted.data();
-      std::vector<PromoteMeta> pm;
-      std::size_t off = 0;
-      for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-        const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-        if (fr.s() == 0) continue;
-        const std::size_t elems =
-            static_cast<std::size_t>(fr.s()) * fr.s() +
-            2 * static_cast<std::size_t>(fr.s()) * fr.u();
-        pm.push_back({f11f(id), pbase + off, elems});
-        off += elems;
-      }
-      promote_fp32(dev_, stream, std::move(pm));
-    }
+    LevelBlocks lb = level_blocks(lvl);
+    L.promoted = std::move(lb.promoted);
     L.stage = dev_.alloc<double>(stage_elems);
     L.pgather = dev_.alloc<int>(pg_total);
     L.f11_p = dev_.alloc<const double*>(bsz);
@@ -1152,18 +1040,9 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
       const int* piv = front_ipiv(id);
       for (int r = 0; r < s; ++r)
         if (piv[r] != r) std::swap(pg[r], pg[piv[r]]);
-      if (f32) {
-        const auto ss = static_cast<std::size_t>(s) * s;
-        const auto su = static_cast<std::size_t>(s) * u;
-        L.f11_p[i] = pbase;
-        L.u12_p[i] = pbase + ss;
-        L.l21_p[i] = pbase + ss + su;
-        pbase += ss + 2 * su;
-      } else {
-        L.f11_p[i] = f11(id);
-        L.l21_p[i] = l21(id);
-        L.u12_p[i] = u12(id);
-      }
+      L.f11_p[i] = lb.fronts[i].f11;
+      L.l21_p[i] = lb.fronts[i].l21;
+      L.u12_p[i] = lb.fronts[i].u12;
       L.top_p[i] = st;
       L.bot_p[i] = st + s;
       L.f11_ld[i] = s;
@@ -1282,7 +1161,41 @@ void MultifrontalFactor::solve_many(double* x, int nrhs) const {
   std::copy(dx.data(), dx.data() + xelems, x);
 }
 
-MultifrontalFactor::HostBlocks MultifrontalFactor::host_blocks(
+MultifrontalFactor::LevelBlocks MultifrontalFactor::level_blocks(
+    int lvl) const {
+  LevelBlocks out;
+  const auto& ids = sym_.levels[static_cast<std::size_t>(lvl)];
+  if (level_prec_[static_cast<std::size_t>(lvl)] != Precision::kF32) {
+    for (int id : ids)
+      if (sym_.fronts[static_cast<std::size_t>(id)].s() > 0)
+        out.fronts.push_back({f11(id), u12(id), l21(id)});
+    return out;
+  }
+  auto elems = [&](int id) {
+    const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
+    const auto s = static_cast<std::size_t>(fr.s());
+    return s * s + 2 * s * static_cast<std::size_t>(fr.u());
+  };
+  std::size_t total = 0;
+  for (int id : ids) total += elems(id);
+  if (total == 0) return out;
+  out.promoted = dev_.alloc<double>(total);
+  std::vector<PromoteMeta> pm;
+  double* p = out.promoted.data();
+  for (int id : ids) {
+    const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
+    if (fr.s() == 0) continue;
+    const auto ss = static_cast<std::size_t>(fr.s()) * fr.s();
+    const auto su = static_cast<std::size_t>(fr.s()) * fr.u();
+    pm.push_back({f11f(id), p, ss + 2 * su});
+    out.fronts.push_back({p, p + ss, p + ss + su});
+    p += ss + 2 * su;
+  }
+  promote_fp32(dev_, dev_.stream(), std::move(pm));
+  return out;
+}
+
+MultifrontalFactor::FrontBlocks MultifrontalFactor::host_blocks(
     int f, std::vector<double>& scratch) const {
   const Front& fr = sym_.fronts[static_cast<std::size_t>(f)];
   const auto s = static_cast<std::size_t>(fr.s());
@@ -1305,7 +1218,7 @@ void MultifrontalFactor::solve(std::vector<double>& x) const {
     const Front& fr = sym_.fronts[fi];
     const int s = fr.s(), u = fr.u();
     if (s == 0) continue;
-    const HostBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
+    const FrontBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
     const double* F11 = hb.f11;
     const double* L21 = hb.l21;
     xs.assign(static_cast<std::size_t>(s), 0.0);
@@ -1335,7 +1248,7 @@ void MultifrontalFactor::solve(std::vector<double>& x) const {
     const Front& fr = sym_.fronts[fi];
     const int s = fr.s(), u = fr.u();
     if (s == 0) continue;
-    const HostBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
+    const FrontBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
     const double* F11 = hb.f11;
     const double* U12 = hb.u12;
     xs.assign(static_cast<std::size_t>(s), 0.0);
@@ -1371,7 +1284,7 @@ void MultifrontalFactor::solve_transpose(std::vector<double>& x) const {
     const Front& fr = sym_.fronts[fi];
     const int s = fr.s(), u = fr.u();
     if (s == 0) continue;
-    const HostBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
+    const FrontBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
     const double* F11 = hb.f11;
     const double* U12 = hb.u12;
     xs.assign(static_cast<std::size_t>(s), 0.0);
@@ -1396,7 +1309,7 @@ void MultifrontalFactor::solve_transpose(std::vector<double>& x) const {
     const Front& fr = sym_.fronts[fi];
     const int s = fr.s(), u = fr.u();
     if (s == 0) continue;
-    const HostBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
+    const FrontBlocks hb = host_blocks(static_cast<int>(fi), fbuf);
     const double* F11 = hb.f11;
     const double* L21 = hb.l21;
     xs.assign(static_cast<std::size_t>(s), 0.0);

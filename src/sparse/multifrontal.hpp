@@ -47,11 +47,6 @@ struct FactorOptions {
   Engine engine = Engine::kBatched;
   MemoryMode memory = MemoryMode::kAllUpfront;
   batch::IrrLuOptions lu;  ///< panel width, laswp method, ...
-  /// Batched engine: split every level's batch across this many streams
-  /// (fronts of one level are independent); events re-join the streams at
-  /// each level boundary so the extend-add ordering stays correct. 1 =
-  /// single-stream (the paper's configuration).
-  int num_streams = 1;
   /// Small-pivot recovery threshold: during the panel factorization a pivot
   /// with magnitude below pivot_tau * ||F||_max (per front, where ||F||_max
   /// is the max-magnitude entry of the assembled front *before*
@@ -144,8 +139,6 @@ class MultifrontalFactor {
   /// results agree with solve()/solve_batched() to rounding (blocked
   /// irrTRSM vs per-vector trsv accumulation order), not bitwise.
   void solve_many(double* x, int nrhs) const;
-  /// Convenience overload: x.size() must equal n * nrhs.
-  void solve_many(std::vector<double>& x, int nrhs) const;
 
   /// Solves (L U)^T x = b in the permuted space, overwriting x: the
   /// transpose of solve(), obtained by transposing every per-front
@@ -254,16 +247,27 @@ class MultifrontalFactor {
     return ipiv_storage_.data() + ipiv_offset_[static_cast<std::size_t>(f)];
   }
 
-  // Host-solve view of front f's factor blocks, always in double: FP64
-  // fronts return direct store pointers (bit-identical to the
-  // pre-precision path); FP32 fronts promote their contiguous block into
-  // `scratch` first (valid until the next call with the same scratch).
-  struct HostBlocks {
+  // Front f's factor blocks, always in double.
+  struct FrontBlocks {
     const double* f11;
     const double* u12;
     const double* l21;
   };
-  HostBlocks host_blocks(int f, std::vector<double>& scratch) const;
+  // Host-solve view: FP64 fronts return direct store pointers
+  // (bit-identical to the pre-precision path); FP32 fronts promote their
+  // contiguous block into `scratch` first (valid until the next call with
+  // the same scratch).
+  FrontBlocks host_blocks(int f, std::vector<double>& scratch) const;
+
+  // Device-solve view of one level: one entry per front with s > 0, in
+  // level order. FP64 levels point straight into the factor store; an FP32
+  // level is promoted into `promoted` by one charged mf_promote launch,
+  // which both sweeps of a solve then share.
+  struct LevelBlocks {
+    gpusim::DeviceBuffer<double> promoted;
+    std::vector<FrontBlocks> fronts;
+  };
+  LevelBlocks level_blocks(int lvl) const;
 };
 
 }  // namespace irrlu::sparse

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include "gpusim/device.hpp"
@@ -143,114 +144,16 @@ bool report_better(const SolveReport& a, const SolveReport& b) {
 
 SolveReport SparseDirectSolver::solve_report(
     const std::vector<double>& b) const {
-  SolveReport rep = solve_report_impl(b);
-  observe_refine_steps(rep.refine_steps);
-  if (rep.status == SolveStatus::kConverged || !opts_.fp64_fallback ||
-      !factor_->has_fp32())
-    return rep;
-  // Classic LU-IR fallback: the FP32 factorization could not deliver the
-  // tolerance — refactor the same prepared matrix in full FP64 and re-run,
-  // keeping whichever result is better (the FP64 one, barring a genuinely
-  // unstable matrix that fails either way).
-  refactor_fp64();
-  SolveReport rep64 = solve_report_impl(b);
-  observe_refine_steps(rep64.refine_steps);
-  if (report_better(rep64, rep)) rep = std::move(rep64);
-  rep.refactored_fp64 = true;
-  return rep;
-}
-
-SolveReport SparseDirectSolver::solve_report_impl(
-    const std::vector<double>& b) const {
-  IRRLU_CHECK_MSG(factor_ != nullptr, "solve_report() requires factor()");
-  const int n = a_.rows();
-  IRRLU_CHECK(static_cast<int>(b.size()) == n);
-
-  auto solve_once = [&](const std::vector<double>& rhs) {
-    // w = P (Dr rhs); z = App^{-1} w; y = P^T z; x[q[j]] = dc[q[j]] y[j].
-    std::vector<double> w(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      const int oi = ord_.perm[static_cast<std::size_t>(i)];
-      w[static_cast<std::size_t>(i)] =
-          mc64_.dr[static_cast<std::size_t>(oi)] *
-          rhs[static_cast<std::size_t>(oi)];
-    }
-    if (opts_.solve_on_device)
-      factor_->solve_batched(w);
-    else
-      factor_->solve(w);
-    std::vector<double> x(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const int oj = ord_.perm[static_cast<std::size_t>(j)];  // pre-P index
-      const int col = mc64_.col_of_row[static_cast<std::size_t>(oj)];
-      x[static_cast<std::size_t>(col)] =
-          mc64_.dc[static_cast<std::size_t>(col)] *
-          w[static_cast<std::size_t>(j)];
-    }
-    return x;
+  // The width-1 case of the batched loop, on the sweep solve_on_device
+  // selects: the host reference sweep or the level-batched device kernels.
+  Sweep sweep = [](const MultifrontalFactor& f, std::vector<double>& w, int) {
+    f.solve(w);
   };
-
-  // Phase latency feed for the tracer's histogram registry (simulated
-  // clock; the host-side solve path advances no simulated time and
-  // lands in the underflow bucket).
-  trace::Tracer* tr = factor_->device().tracer();
-  const double t_solve0 = tr != nullptr ? factor_->device().host_time() : 0;
-
-  SolveReport rep;
-  std::vector<double> x = solve_once(b);
-  const double t_refine0 = tr != nullptr ? factor_->device().host_time() : 0;
-  if (tr != nullptr) tr->observe("solve.initial_s", t_refine0 - t_solve0);
-  double berr = a_.componentwise_residual(x.data(), b.data());
-  rep.berr_history.push_back(berr);
-  if (!std::isfinite(berr)) {
-    // The factorization produced NaN/Inf (e.g. an un-boosted zero pivot):
-    // refinement cannot repair that — report a clean structured failure.
-    rep.x = std::move(x);
-    rep.berr = berr;
-    rep.status = SolveStatus::kFailed;
-    return rep;
-  }
-
-  // Adaptive refinement: iterate while the componentwise backward error is
-  // above tolerance, keeping the best iterate seen. Stop on the cap, on
-  // divergence (berr did not decrease — roll back to the best iterate), or
-  // on stagnation (decrease by less than 2x, Higham's rule: further sweeps
-  // would only dither around the attainable accuracy).
-  std::vector<double> best = x;
-  double best_berr = berr;
-  const double tol = std::max(opts_.refine_tolerance, 0.0);
-  std::vector<double> r(static_cast<std::size_t>(n));
-  int steps = 0;
-  while (berr > tol && steps < opts_.max_refine_steps) {
-    a_.multiply(x.data(), r.data());
-    for (int i = 0; i < n; ++i)
-      r[static_cast<std::size_t>(i)] =
-          b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)];
-    const std::vector<double> dx = solve_once(r);
-    for (int i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(i)] += dx[static_cast<std::size_t>(i)];
-    ++steps;
-    const double next = a_.componentwise_residual(x.data(), b.data());
-    rep.berr_history.push_back(next);
-    if (!std::isfinite(next) || next >= berr) break;  // diverged
-    const bool stagnated = next > 0.5 * berr;
-    berr = next;
-    if (next < best_berr) {
-      best_berr = next;
-      best = x;
-    }
-    if (stagnated) break;
-  }
-
-  if (tr != nullptr && steps > 0)
-    tr->observe("solve.refine_s", factor_->device().host_time() - t_refine0);
-
-  rep.refine_steps = steps;
-  rep.x = std::move(best);
-  rep.berr = best_berr;
-  rep.status = best_berr <= tol ? SolveStatus::kConverged
-                                : SolveStatus::kDegraded;
-  return rep;
+  if (opts_.solve_on_device)
+    sweep = [](const MultifrontalFactor& f, std::vector<double>& w, int) {
+      f.solve_batched(w);
+    };
+  return std::move(solve_with_fallback({&b, 1}, sweep).front());
 }
 
 std::vector<double> SparseDirectSolver::solve(
@@ -267,29 +170,37 @@ std::vector<double> SparseDirectSolver::solve(
 
 std::vector<SolveReport> SparseDirectSolver::solve_report_many(
     const std::vector<std::vector<double>>& bs) const {
-  std::vector<SolveReport> reps = solve_report_many_impl(bs);
-  for (const SolveReport& r : reps) observe_refine_steps(r.refine_steps);
+  return solve_with_fallback(
+      bs, [](const MultifrontalFactor& f, std::vector<double>& w, int nrhs) {
+        f.solve_many(w.data(), nrhs);
+      });
+}
+
+std::vector<SolveReport> SparseDirectSolver::solve_with_fallback(
+    std::span<const std::vector<double>> bs, Sweep sweep) const {
+  IRRLU_CHECK_MSG(factor_ != nullptr, "solving requires factor()");
+  std::vector<SolveReport> reps = refine(bs, sweep);
   const bool any_short = std::any_of(
       reps.begin(), reps.end(),
       [](const SolveReport& r) { return r.status != SolveStatus::kConverged; });
   if (!any_short || !opts_.fp64_fallback || !factor_->has_fp32()) return reps;
-  // One FP64 refactor covers the whole batch; every request is re-solved
-  // against the FP64 factors (the converged ones too — the sweep is
-  // batched, so re-running them costs one extra lane each, and the
-  // per-request arbitration below keeps whichever result is better).
+  // Classic LU-IR fallback: the FP32 factorization could not deliver the
+  // tolerance — refactor the same prepared matrix in full FP64 and re-run.
+  // One refactor covers the whole batch; every request is re-solved (the
+  // converged ones too — a batched sweep re-runs them for one extra lane
+  // each) and keeps whichever result is better (the FP64 one, barring a
+  // genuinely unstable matrix that fails either way).
   refactor_fp64();
-  std::vector<SolveReport> reps64 = solve_report_many_impl(bs);
+  std::vector<SolveReport> reps64 = refine(bs, sweep);
   for (std::size_t k = 0; k < reps.size(); ++k) {
-    observe_refine_steps(reps64[k].refine_steps);
     if (report_better(reps64[k], reps[k])) reps[k] = std::move(reps64[k]);
     reps[k].refactored_fp64 = true;
   }
   return reps;
 }
 
-std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
-    const std::vector<std::vector<double>>& bs) const {
-  IRRLU_CHECK_MSG(factor_ != nullptr, "solve_report_many() requires factor()");
+std::vector<SolveReport> SparseDirectSolver::refine(
+    std::span<const std::vector<double>> bs, Sweep sweep) const {
   const int n = a_.rows();
   const int nrhs = static_cast<int>(bs.size());
   std::vector<SolveReport> reps(bs.size());
@@ -297,8 +208,7 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
   for (const auto& b : bs) IRRLU_CHECK(static_cast<int>(b.size()) == n);
   const auto nz = static_cast<std::size_t>(n);
 
-  // Same transforms as solve_report()'s solve_once, applied column-wise:
-  // w = P (Dr rhs); batched sweep; x[q[j]] = dc[q[j]] w[j].
+  // Column by column: w = P (Dr rhs); sweep; x[q[j]] = dc[q[j]] w[j].
   auto scale_in = [&](const double* rhs, double* w) {
     for (int i = 0; i < n; ++i) {
       const int oi = ord_.perm[static_cast<std::size_t>(i)];
@@ -307,58 +217,76 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
   };
   auto scale_out = [&](const double* w, double* x) {
     for (int j = 0; j < n; ++j) {
-      const int oj = ord_.perm[static_cast<std::size_t>(j)];
+      const int oj = ord_.perm[static_cast<std::size_t>(j)];  // pre-P index
       const int col = mc64_.col_of_row[static_cast<std::size_t>(oj)];
       x[col] = mc64_.dc[static_cast<std::size_t>(col)] * w[j];
     }
   };
 
-  // Initial solves for every request: one interleaved sweep.
+  const double tol = std::max(opts_.refine_tolerance, 0.0);
+  auto finish = [&](int req, std::vector<double>&& x, double berr,
+                    int steps) {
+    SolveReport& rep = reps[static_cast<std::size_t>(req)];
+    rep.x = std::move(x);
+    rep.berr = berr;
+    rep.refine_steps = steps;
+    // A non-finite berr means the factorization produced NaN/Inf (e.g. an
+    // un-boosted zero pivot): refinement cannot repair that, so it is a
+    // clean structured failure.
+    rep.status = !std::isfinite(berr) ? SolveStatus::kFailed
+                 : berr <= tol        ? SolveStatus::kConverged
+                                      : SolveStatus::kDegraded;
+    observe_refine_steps(steps);
+  };
+
+  // Phase latency feed for the tracer's histogram registry (simulated
+  // clock; the host sweep advances no simulated time and lands in the
+  // underflow bucket).
+  trace::Tracer* tr = factor_->device().tracer();
+  const double t_solve0 = tr != nullptr ? factor_->device().host_time() : 0;
+
+  // Initial solves for every request: one sweep.
   std::vector<double> W(nz * static_cast<std::size_t>(nrhs));
   for (int j = 0; j < nrhs; ++j)
     scale_in(bs[static_cast<std::size_t>(j)].data(),
              W.data() + static_cast<std::size_t>(j) * nz);
-  factor_->solve_many(W.data(), nrhs);
+  sweep(*factor_, W, nrhs);
+  const double t_refine0 = tr != nullptr ? factor_->device().host_time() : 0;
+  if (tr != nullptr) tr->observe("solve.initial_s", t_refine0 - t_solve0);
 
-  // Requests still refining; they leave the batch individually under
-  // exactly the per-request rules of solve_report() (cap, divergence
-  // rollback, Higham's stagnation rule).
+  // Adaptive refinement: each request iterates while its componentwise
+  // backward error is above tolerance and leaves the batch on its own —
+  // on the cap, on divergence (berr did not decrease: roll back to the
+  // best iterate), or on stagnation (decrease by less than 2x, Higham's
+  // rule: further sweeps would only dither around the attainable
+  // accuracy). berr only ever decreases on an accepted sweep, so the last
+  // accepted iterate is the best one.
   struct Active {
     int req;
     std::vector<double> x, best;
-    double berr, best_berr;
+    double berr;
     int steps = 0;
   };
   std::vector<Active> act;
-  const double tol = std::max(opts_.refine_tolerance, 0.0);
   for (int j = 0; j < nrhs; ++j) {
     const auto ju = static_cast<std::size_t>(j);
     std::vector<double> x(nz);
     scale_out(W.data() + ju * nz, x.data());
     const double berr = a_.componentwise_residual(x.data(), bs[ju].data());
-    SolveReport& rep = reps[ju];
-    rep.berr_history.push_back(berr);
-    if (!std::isfinite(berr)) {
-      rep.x = std::move(x);
-      rep.berr = berr;
-      rep.status = SolveStatus::kFailed;
-      continue;
-    }
-    if (berr <= tol || opts_.max_refine_steps <= 0) {
-      rep.x = std::move(x);
-      rep.berr = berr;
-      rep.status =
-          berr <= tol ? SolveStatus::kConverged : SolveStatus::kDegraded;
+    reps[ju].berr_history.push_back(berr);
+    if (!std::isfinite(berr) || berr <= tol || opts_.max_refine_steps <= 0) {
+      finish(j, std::move(x), berr, 0);
       continue;
     }
     Active a;
     a.req = j;
     a.best = x;
     a.x = std::move(x);
-    a.berr = a.best_berr = berr;
+    a.berr = berr;
     act.push_back(std::move(a));
   }
 
+  const bool refined = !act.empty();
   std::vector<double> r(nz);
   while (!act.empty()) {
     const int na = static_cast<int>(act.size());
@@ -372,44 +300,34 @@ std::vector<SolveReport> SparseDirectSolver::solve_report_many_impl(
             b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)];
       scale_in(r.data(), W.data() + static_cast<std::size_t>(k) * nz);
     }
-    factor_->solve_many(W.data(), na);
+    sweep(*factor_, W, na);
 
     std::vector<Active> next;
+    std::vector<double> dx(nz);
     for (int k = 0; k < na; ++k) {
       Active& a = act[static_cast<std::size_t>(k)];
-      std::vector<double> dx(nz);
       scale_out(W.data() + static_cast<std::size_t>(k) * nz, dx.data());
       for (std::size_t i = 0; i < nz; ++i) a.x[i] += dx[i];
       ++a.steps;
       const double nb = a_.componentwise_residual(
           a.x.data(), bs[static_cast<std::size_t>(a.req)].data());
-      SolveReport& rep = reps[static_cast<std::size_t>(a.req)];
-      rep.berr_history.push_back(nb);
-      bool stop = false;
-      if (!std::isfinite(nb) || nb >= a.berr) {
-        stop = true;  // diverged — roll back to the best iterate
-      } else {
+      reps[static_cast<std::size_t>(a.req)].berr_history.push_back(nb);
+      if (std::isfinite(nb) && nb < a.berr) {
         const bool stagnated = nb > 0.5 * a.berr;
         a.berr = nb;
-        if (nb < a.best_berr) {
-          a.best_berr = nb;
-          a.best = a.x;
+        a.best = a.x;
+        if (!stagnated && nb > tol && a.steps < opts_.max_refine_steps) {
+          next.push_back(std::move(a));
+          continue;
         }
-        if (stagnated || a.berr <= tol || a.steps >= opts_.max_refine_steps)
-          stop = true;
       }
-      if (stop) {
-        rep.refine_steps = a.steps;
-        rep.x = std::move(a.best);
-        rep.berr = a.best_berr;
-        rep.status = a.best_berr <= tol ? SolveStatus::kConverged
-                                        : SolveStatus::kDegraded;
-      } else {
-        next.push_back(std::move(a));
-      }
+      finish(a.req, std::move(a.best), a.berr, a.steps);
     }
     act = std::move(next);
   }
+
+  if (tr != nullptr && refined)
+    tr->observe("solve.refine_s", factor_->device().host_time() - t_refine0);
   return reps;
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpusim/device.hpp"
@@ -120,7 +121,11 @@ class SparseDirectSolver {
   /// Phase 3: solves A x = b (original, unpermuted space) with adaptive
   /// iterative refinement, returning the solution plus its convergence
   /// diagnostics. Never throws on numerical failure — inspect
-  /// SolveReport::status. Requires factor().
+  /// SolveReport::status. Requires factor(). The width-1 case of
+  /// solve_report_many()'s refinement loop and FP64 fallback, on the host
+  /// sweep (MultifrontalFactor::solve) or, under
+  /// SolverOptions::solve_on_device, the level-batched device sweep
+  /// (MultifrontalFactor::solve_batched).
   SolveReport solve_report(const std::vector<double>& b) const;
 
   /// Thin legacy wrapper over solve_report(): returns just x, but fails
@@ -129,19 +134,20 @@ class SparseDirectSolver {
   std::vector<double> solve(const std::vector<double>& b) const;
 
   /// Batched counterpart of solve_report() for many right-hand sides
-  /// against one factorization: the initial solves and every refinement
-  /// sweep run as a single interleaved many-RHS triangular sweep on the
-  /// device (MultifrontalFactor::solve_many) instead of nrhs sequential
-  /// solves, so the factor blocks are read once per front per sweep and
-  /// the launch count is per-level, not per-RHS-per-level. Each request
-  /// keeps the full per-request quality contract: its own adaptive
-  /// refinement control flow (tolerance, best-iterate rollback,
-  /// stagnation/divergence stops), its own berr history, its own
-  /// SolveStatus — requests leave the batch individually as they converge
-  /// and only the still-active residuals are re-solved. Always takes the
-  /// device path regardless of SolverOptions::solve_on_device; per-request
-  /// results agree with solve_report() to rounding (blocked batched
-  /// triangular solves vs per-vector substitution), statuses preserved.
+  /// against one factorization, running the same refinement loop and FP64
+  /// fallback: the initial solves and every refinement sweep run as a
+  /// single interleaved many-RHS triangular sweep on the device
+  /// (MultifrontalFactor::solve_many) instead of nrhs sequential solves,
+  /// so the factor blocks are read once per front per sweep and the
+  /// launch count is per-level, not per-RHS-per-level. Each request keeps
+  /// the full per-request quality contract: its own adaptive refinement
+  /// control flow (tolerance, best-iterate rollback, stagnation/divergence
+  /// stops), its own berr history, its own SolveStatus — requests leave
+  /// the batch individually as they converge and only the still-active
+  /// residuals are re-solved. Always takes the solve_many sweep regardless
+  /// of SolverOptions::solve_on_device; per-request results agree with
+  /// solve_report() to rounding (blocked batched triangular solves vs
+  /// per-vector substitution), statuses preserved.
   std::vector<SolveReport> solve_report_many(
       const std::vector<std::vector<double>>& bs) const;
 
@@ -185,10 +191,21 @@ class SparseDirectSolver {
   /// Replaces the current factorization with a full-FP64 one of the same
   /// prepared matrix (the LU-IR fallback step).
   void refactor_fp64() const;
-  /// The pre-fallback solve bodies.
-  SolveReport solve_report_impl(const std::vector<double>& b) const;
-  std::vector<SolveReport> solve_report_many_impl(
-      const std::vector<std::vector<double>>& bs) const;
+  /// One triangular sweep of the current factor over `nrhs` right-hand
+  /// sides stored column-major in `x` (length n * nrhs, permuted space).
+  /// Takes the factor as an argument because the FP64 fallback replaces
+  /// it mid-solve.
+  using Sweep = void (*)(const MultifrontalFactor&, std::vector<double>& x,
+                         int nrhs);
+  /// refine(), then the LU-IR FP64 fallback arbitration: when any request
+  /// fell short and the factor has FP32 levels, refactor in FP64 once,
+  /// re-run every request and keep the better report per request.
+  std::vector<SolveReport> solve_with_fallback(
+      std::span<const std::vector<double>> bs, Sweep sweep) const;
+  /// The refinement loop behind both solve entries, against the current
+  /// factor: every sweep solves all still-active requests at once.
+  std::vector<SolveReport> refine(std::span<const std::vector<double>> bs,
+                                  Sweep sweep) const;
   /// Feeds the per-policy refine-step histogram
   /// ("solve.refine_steps.<policy>") when a tracer is attached.
   void observe_refine_steps(int steps) const;

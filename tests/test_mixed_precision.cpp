@@ -372,6 +372,40 @@ TEST(Fp64Fallback, AdaptivePolicyKeepsRootLevelsInFp64) {
   EXPECT_LT(rep.fp32_fronts, static_cast<long>(rep.fronts));
 }
 
+TEST(Fp32DeviceSolve, PromotesEachFp32LevelOncePerSweep) {
+  // A device sweep promotes each FP32 level's factor blocks to FP64 with
+  // one mf_promote launch; the forward and the backward pass share it.
+  Device dev(DeviceModel::a100());
+  SolverOptions opts;
+  opts.factor.precision = PrecisionPolicy::kF32;
+  opts.solve_on_device = true;
+  opts.fp64_fallback = false;
+  SparseDirectSolver solver(opts);
+  const CsrMatrix a = laplacian3d(6, 6, 6, -2.17);
+  solver.analyze(a);
+  solver.factor(dev);
+  const SymbolicAnalysis& sym = solver.symbolic();
+  long fp32_levels = 0;  // FP32 levels with a front to solve
+  for (std::size_t lvl = 0; lvl < sym.levels.size(); ++lvl) {
+    if (solver.numeric().level_prec(static_cast<int>(lvl)) != Precision::kF32)
+      continue;
+    for (int id : sym.levels[lvl])
+      if (sym.fronts[static_cast<std::size_t>(id)].s() > 0) {
+        ++fp32_levels;
+        break;
+      }
+  }
+  ASSERT_GT(fp32_levels, 0);
+  const auto promotes = [&dev] {
+    const auto it = dev.profile().find("mf_promote");
+    return it == dev.profile().end() ? 0L : it->second.launches;
+  };
+  const long before = promotes();
+  const SolveReport rep = solver.solve_report(random_rhs(a.rows(), 5));
+  EXPECT_EQ(rep.status, SolveStatus::kConverged);
+  EXPECT_EQ(promotes() - before, (1 + rep.refine_steps) * fp32_levels);
+}
+
 // ---------------------------------------------------------------------------
 // Bit-identity of the pure-FP64 policy
 // ---------------------------------------------------------------------------

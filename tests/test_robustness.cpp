@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include <limits>
@@ -340,10 +341,16 @@ TEST(SolverRegression, TraceCountersCarryRobustnessDiagnostics) {
 
 // ----------------------------------------------------- the failure envelope
 
-/// Parameterized over the solve path: host reference sweep vs the
-/// level-batched device kernels (solve_batched) — the device path must
-/// honor the exact same no-silent-garbage contract.
-class RobustnessEnvelope : public ::testing::TestWithParam<bool> {
+/// The solve entry a RobustnessEnvelope case walks.
+enum class SolvePath {
+  kHost,    ///< solve_report() on the host reference sweep
+  kDevice,  ///< solve_report() on the level-batched device kernels
+  kMany,    ///< solve_report_many({b})[0], the service's batched entry
+};
+
+/// Parameterized over the solve path: every entry must honor the exact
+/// same no-silent-garbage contract.
+class RobustnessEnvelope : public ::testing::TestWithParam<SolvePath> {
  protected:
   /// The acceptance-criteria contract: either converged to a tiny
   /// componentwise backward error, or a structured degraded/failed status;
@@ -373,11 +380,15 @@ class RobustnessEnvelope : public ::testing::TestWithParam<bool> {
     solver_.reset();  // the factor references dev_ — drop it first
     dev_ = std::make_unique<Device>(DeviceModel::a100());
     SolverOptions opts = base;
-    opts.solve_on_device = GetParam();
+    opts.solve_on_device = GetParam() == SolvePath::kDevice;
     solver_ = std::make_unique<SparseDirectSolver>(opts);
     solver_->analyze(a);
     solver_->factor(*dev_);
-    return solver_->solve_report(random_rhs(a.rows(), 4242));
+    const std::vector<double> b = random_rhs(a.rows(), 4242);
+    if (GetParam() != SolvePath::kMany) return solver_->solve_report(b);
+    std::vector<SolveReport> reps = solver_->solve_report_many({b});
+    EXPECT_EQ(reps.size(), 1u);
+    return std::move(reps.at(0));
   }
 
   // dev_ declared before solver_: the factor holds a Device& and must be
@@ -446,8 +457,14 @@ TEST_P(RobustnessEnvelope, BadlyScaledSystemConverges) {
   EXPECT_EQ(rep.status, SolveStatus::kConverged);
 }
 
-INSTANTIATE_TEST_SUITE_P(HostAndDevicePaths, RobustnessEnvelope,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "DeviceSolve" : "HostSolve";
-                         });
+INSTANTIATE_TEST_SUITE_P(
+    SolveEntries, RobustnessEnvelope,
+    ::testing::Values(SolvePath::kHost, SolvePath::kDevice, SolvePath::kMany),
+    [](const ::testing::TestParamInfo<SolvePath>& info) {
+      switch (info.param) {
+        case SolvePath::kHost: return "HostSolve";
+        case SolvePath::kDevice: return "DeviceSolve";
+        case SolvePath::kMany: return "ManySolve";
+      }
+      return "unknown";
+    });

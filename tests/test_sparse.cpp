@@ -552,66 +552,30 @@ TEST(Solver, RefactorReusesAnalysis) {
   EXPECT_GT(diff, 1e-3);  // x2 does NOT solve the old system
 }
 
-TEST(MultiStream, LevelsSplitAcrossStreamsMatchSingleStream) {
-  const CsrMatrix a = laplacian3d(6, 6, 6, -1.4);
-  const auto b = random_rhs(a.rows(), 91);
-  std::vector<double> x1, x4;
-  double t1 = 0, t4 = 0;
-  for (int streams : {1, 4}) {
-    Device dev(DeviceModel::a100());
-    SolverOptions opts;
-    opts.nd.leaf_size = 8;
-    opts.factor.num_streams = streams;
-    opts.max_refine_steps = 0;
-    SparseDirectSolver solver(opts);
-    solver.analyze(a);
-    solver.factor(dev);
-    EXPECT_TRUE(solver.numeric().numerically_ok());
-    const auto x = solver.solve(b);
-    EXPECT_LT(solver.residual(x, b), 1e-10);
-    (streams == 1 ? x1 : x4) = x;
-    (streams == 1 ? t1 : t4) = solver.numeric().factor_seconds();
-  }
-  for (std::size_t i = 0; i < x1.size(); ++i)
-    EXPECT_NEAR(x4[i], x1[i], 1e-10);
-  // The negative result that vindicates the paper's design: splitting a
-  // level's batch across streams multiplies the kernel-launch count, and
-  // host-serialized dispatch makes the launch-bound levels *slower* than
-  // one fused irregular batch.
-  EXPECT_GT(t4, t1);
-}
-
 TEST(Solver, BatchedFactorsEachLevelAsOneGroup) {
   // Every front of a level, the ones above 256 included, rides the level's
   // single irregular batch: one irr_getrf (so one irr_lu_setup launch) per
-  // non-empty level on one stream, and one per stream that received fronts
-  // when the level is split round-robin.
+  // non-empty level.
   namespace fem = irrlu::fem;
   const fem::HexMesh mesh = fem::HexMesh::torus(16, 8, 8);
   const double omega = 16.0;
   const fem::EdgeSystem sys = fem::assemble_maxwell(
       mesh, omega, fem::paper_maxwell_load(omega, omega / 1.05));
-  for (int streams : {1, 2}) {
-    SCOPED_TRACE(streams);
-    Device dev(DeviceModel::a100());
-    SolverOptions opts;
-    opts.nd.leaf_size = 16;
-    opts.factor.num_streams = streams;
-    SparseDirectSolver solver(opts);
-    solver.analyze(sys.a);
-    const SymbolicAnalysis& sym = solver.symbolic();
-    ASSERT_GT(sym.max_front_dim, 256);
-    long groups = 0;  // at one stream: the non-empty levels
-    for (const auto& lv : sym.levels)
-      groups += std::min<long>(streams, static_cast<long>(lv.size()));
-    solver.factor(dev);
-    ASSERT_EQ(dev.profile().count("irr_lu_setup"), 1u);
-    const long setups = dev.profile().at("irr_lu_setup").launches;
-    EXPECT_EQ(setups, groups);
-    EXPECT_TRUE(solver.numeric().numerically_ok());
-    const auto x = solver.solve(sys.b);
-    EXPECT_LT(solver.residual(x, sys.b), 1e-12);
-  }
+  Device dev(DeviceModel::a100());
+  SolverOptions opts;
+  opts.nd.leaf_size = 16;
+  SparseDirectSolver solver(opts);
+  solver.analyze(sys.a);
+  const SymbolicAnalysis& sym = solver.symbolic();
+  ASSERT_GT(sym.max_front_dim, 256);
+  const long levels = std::count_if(sym.levels.begin(), sym.levels.end(),
+                                    [](const auto& lv) { return !lv.empty(); });
+  solver.factor(dev);
+  ASSERT_EQ(dev.profile().count("irr_lu_setup"), 1u);
+  EXPECT_EQ(dev.profile().at("irr_lu_setup").launches, levels);
+  EXPECT_TRUE(solver.numeric().numerically_ok());
+  const auto x = solver.solve(sys.b);
+  EXPECT_LT(solver.residual(x, sys.b), 1e-12);
 }
 
 TEST(Solver, MultipleRightHandSides) {
