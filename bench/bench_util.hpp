@@ -346,7 +346,7 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 
 // ---------------------------------------------------------------------------
 // BENCH_service.json schema (written by bench/bench_service, schema id
-// "irrlu-bench-service-v1"): the solver-service layer — interleaved
+// "irrlu-bench-service-v1"): the solver-service layer — one batched
 // many-RHS solve vs sequential solves, and a replay stream through the
 // pattern-keyed symbolic/factor cache. Top level:
 //
@@ -374,8 +374,12 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //                                level vs per-level
 //   statuses_match               per-request SolveStatus identical across
 //                                the two paths (asserted)
+//   bitwise_identical            per-request solution x bitwise identical
+//                                across the two paths, which run the same
+//                                device sweep at width 1 and at width
+//                                nrhs (asserted)
 //   max_berr                     worst componentwise backward error of the
-//                                interleaved path
+//                                batched path
 //
 // "replay" summarizes the request stream through SolverService (three
 // tenants, three sparsity patterns, values perturbed between same-pattern
@@ -389,15 +393,18 @@ inline std::unique_ptr<trace::TraceSession> make_trace_session(
 //   factors, refactors, factor_reuses
 //                                fresh / same-pattern-new-values /
 //                                same-values factorization outcomes
-//   batches, batched_rhs         interleaved sweeps issued and the RHS
+//   batches, batched_rhs         batched solves issued and the RHS
 //                                they carried
 //   evictions, rejected          cache evictions, admission rejections
 //   factor_bits_identical        cached-refactor factor store bitwise
 //                                equal to an uncached twin (asserted; the
 //                                replay disables MC64, whose scaling is
 //                                values-dependent by design)
-//   wall_s                       host wall clock of all flushes (report
-//                                only)
+//   wall_s                       host wall clock of all flushes, median of
+//                                3 (--quick) or 5 replays of the stream,
+//                                each on a fresh device and service with
+//                                the same seed (report only; every other
+//                                field is from the first replay)
 //
 // The driver exits nonzero when any asserted invariant fails; ctest runs
 // it as bench_service_smoke.

@@ -1,6 +1,6 @@
 // Solver-service demo: drive a stream of solve requests from several
 // tenants through SolverService and watch the pattern-keyed cache,
-// interleaved batching, and admission control at work.
+// batched many-RHS solves, and admission control at work.
 //
 //   build/examples/service_demo [--requests N] [--flush-window W]
 //                               [--patterns P] [--budget-mb M]
@@ -17,7 +17,7 @@
 // distinct sparsity patterns (one per tenant — an electromagnetics mesh, a
 // power grid, a circuit), revisited over and over with drifting values
 // (refactor) or identical values (factor reuse), plus occasional
-// right-hand-side bursts that exercise the interleaved many-RHS path.
+// right-hand-side bursts that exercise the batched many-RHS path.
 // Prints per-request provenance and the per-tenant accounting table.
 #include <cstdio>
 #include <string>
@@ -139,8 +139,8 @@ int main(int argc, char** argv) {
               st.analyze_runs, st.symbolic_hits, st.symbolic_hit_rate());
   std::printf("  numeric:  %ld factors, %ld refactors, %ld reuses\n",
               st.factors, st.refactors, st.factor_reuses);
-  std::printf("  batching: %ld interleaved sweeps for %ld RHS "
-              "(%.1f RHS/sweep)\n",
+  std::printf("  batching: %ld batched solves for %ld RHS "
+              "(%.1f RHS/solve)\n",
               st.batches, st.batched_rhs,
               st.batches > 0 ? static_cast<double>(st.batched_rhs) /
                                    static_cast<double>(st.batches)

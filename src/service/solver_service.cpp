@@ -310,7 +310,7 @@ std::vector<SolveResponse> SolverService::flush() {
         sess->factored = true;
       }
 
-      // Interleaved many-RHS solve over the run, split by max_batch_rhs.
+      // One batched many-RHS solve over the run, split by max_batch_rhs.
       const std::size_t cap =
           opts_.max_batch_rhs > 0
               ? static_cast<std::size_t>(opts_.max_batch_rhs)

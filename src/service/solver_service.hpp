@@ -11,7 +11,7 @@
 //     whose values are bit-identical to the cached factor skip
 //     factorization too; FP32 factors are billed at their true (half)
 //     resident byte cost by admission control;
-//   - an interleaved many-RHS solve path: all pending right-hand sides
+//   - a batched many-RHS solve path: all pending right-hand sides
 //     against one factor are gathered into a single batched triangular
 //     sweep (SparseDirectSolver::solve_report_many), reading the factor
 //     blocks once per front per sweep instead of once per RHS;
@@ -54,7 +54,7 @@ struct ServiceOptions {
   /// budget alone is rejected (Admission::kRejectedMemory) without
   /// touching the device. 0 = unlimited.
   std::size_t memory_budget_bytes = 0;
-  /// Cap on the width of one interleaved solve batch (RHS per
+  /// Cap on the width of one batched solve (RHS per
   /// solve_report_many call); wider groups are split. 0 = unlimited.
   int max_batch_rhs = 0;
 };
@@ -98,7 +98,7 @@ struct SolveResponse {
   /// was already resident, or an earlier same-values request in the same
   /// flush paid for the factorization this request shares.
   bool factor_reused = false;
-  /// Number of right-hand sides in the interleaved batch this request was
+  /// Number of right-hand sides in the batched solve this request was
   /// solved in (>= 1 for accepted requests).
   int batch_width = 0;
 };
@@ -121,8 +121,8 @@ struct ServiceStats {
   long factor_reuses = 0;  ///< requests that skipped factorization entirely
   long evictions = 0;      ///< cache entries dropped (LRU or memory budget)
   long rejected = 0;       ///< requests refused by admission control
-  long batches = 0;        ///< interleaved solve_report_many sweeps issued
-  long batched_rhs = 0;    ///< right-hand sides carried by those sweeps
+  long batches = 0;        ///< batched solve_report_many calls issued
+  long batched_rhs = 0;    ///< right-hand sides carried by those calls
   std::map<std::string, TenantStats> tenants;
 
   /// Fraction of flushed requests that skipped symbolic analysis — the
@@ -146,7 +146,7 @@ class SolverService {
 
   /// Enqueues a request; no work happens until flush(). Requests are
   /// answered in submission order, but the service is free to gather
-  /// same-pattern requests into shared factorizations and interleaved
+  /// same-pattern requests into shared factorizations and batched
   /// solve batches.
   void submit(SolveRequest req);
 
@@ -155,7 +155,7 @@ class SolverService {
   /// (hash + exact same_pattern confirmation, so a hash collision can
   /// never alias two structures), each group resolves to a cached or
   /// fresh per-pattern solver session, and within a group requests with
-  /// bit-identical values share one factorization and one interleaved
+  /// bit-identical values share one factorization and one batched
   /// many-RHS sweep. Numerical failures never throw — they surface as
   /// SolveReport::status on the individual response.
   std::vector<SolveResponse> flush();

@@ -845,23 +845,18 @@ MultifrontalFactor::MultifrontalFactor(gpusim::Device& dev,
   }
 }
 
-void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
-  const int n = static_cast<int>(x.size());
+void MultifrontalFactor::solve_batched(double* x, int nrhs) const {
+  if (nrhs <= 0) return;
+  const int n = n_;
+  const std::size_t xelems =
+      static_cast<std::size_t>(n) * static_cast<std::size_t>(nrhs);
   // The scope opens before the x staging buffer so the allocation is
   // tagged "solve" rather than by call site.
   IRRLU_TRACE_SCOPE(dev_.tracer(), "solve");
-  auto dx = dev_.alloc<double>(static_cast<std::size_t>(n));
-  std::copy(x.begin(), x.end(), dx.data());
+  auto dx = dev_.alloc<double>(xelems);
+  std::copy(x, x + xelems, dx.data());
   double* xd = dx.data();
   auto& stream = dev_.stream();
-
-  struct Meta {
-    const double* f11;
-    const double* off;  ///< L21 (forward) or U12 (backward)
-    const int* piv;
-    const int* upd;
-    int s, u, sep_begin;
-  };
 
   // Every level's factor blocks in double; FP32 levels are promoted once
   // and both sweeps read the same view.
@@ -870,293 +865,87 @@ void MultifrontalFactor::solve_batched(std::vector<double>& x) const {
   for (int lvl = 0; lvl < nlevels; ++lvl)
     blocks[static_cast<std::size_t>(lvl)] = level_blocks(lvl);
 
-  auto level_metas = [&](int lvl, bool forward) {
-    auto metas = std::make_shared<std::vector<Meta>>();
+  // u x nrhs staging for the update rows (ld u). Launches and their
+  // blocks execute sequentially on the host, so one buffer serves all.
+  int max_u = 0;
+  for (const Front& fr : sym_.fronts) max_u = std::max(max_u, fr.u());
+  std::vector<double> tmp(static_cast<std::size_t>(max_u) *
+                          static_cast<std::size_t>(nrhs));
+
+  // One launch per non-empty level per direction, one block per front
+  // with s > 0, solving all nrhs columns with level-3 kernels. Columns
+  // never mix, so column j comes out bit for bit as its own width-1 sweep
+  // would leave it: the per-request contract of the batched refinement
+  // loop. Hence no width-1 trsv/gemv branch.
+  auto sweep_level = [&](int lvl, bool forward) {
+    std::vector<int> ids;  // level order, matching blocks[lvl].fronts
+    for (int id : sym_.levels[static_cast<std::size_t>(lvl)])
+      if (sym_.fronts[static_cast<std::size_t>(id)].s() > 0)
+        ids.push_back(id);
+    if (ids.empty()) return;
     const auto& fb = blocks[static_cast<std::size_t>(lvl)].fronts;
-    for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      if (fr.s() == 0) continue;
-      const FrontBlocks& b = fb[metas->size()];
-      metas->push_back({b.f11, forward ? b.l21 : b.u12, front_ipiv(id),
-                        upd_storage_.data() +
-                            upd_offset_[static_cast<std::size_t>(id)],
-                        fr.s(), fr.u(), fr.sep_begin});
-    }
-    return metas;
-  };
-
-  // Gather/scatter staging for the update-row gemv. Blocks of a launch
-  // execute sequentially on the host, so one buffer per launch is safe.
-  auto level_scratch = [](const std::vector<Meta>& metas) {
-    int max_u = 0;
-    for (const Meta& m : metas) max_u = std::max(max_u, m.u);
-    return std::make_shared<std::vector<double>>(
-        static_cast<std::size_t>(max_u));
-  };
-
-  // Forward sweep, leaves to root: x_s <- L11^{-1} P x_s;
-  // x[upd] -= L21 x_s.
-  for (int lvl = nlevels - 1; lvl >= 0; --lvl) {
-    IRRLU_TRACE_SCOPE(dev_.tracer(), "fwd");
-    auto metas = level_metas(lvl, /*forward=*/true);
-    if (metas->empty()) continue;
-    auto tmp = level_scratch(*metas);
-    dev_.launch(stream, {"mf_solve_fwd", static_cast<int>(metas->size()), 0},
-                [metas, tmp, xd](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      double* xs = xd + m.sep_begin;  // contiguous separator range
-      for (int r = 0; r < m.s; ++r)
-        if (m.piv[r] != r) std::swap(xs[r], xs[m.piv[r]]);
-      la::trsv(la::Uplo::Lower, la::Trans::No, la::Diag::Unit, m.s, m.f11,
-               m.s, xs, 1);
-      if (m.u > 0) {
-        // tmp = L21 * x_s (L21 is u x s, leading dimension u), then
-        // scatter (atomics on real hardware).
-        la::gemv(la::Trans::No, m.u, m.s, 1.0, m.off, m.u, xs, 1, 0.0,
-                 tmp->data(), 1);
-        for (int k = 0; k < m.u; ++k) xd[m.upd[k]] -= (*tmp)[k];
+    dev_.launch(stream,
+                {forward ? "mf_solve_fwd" : "mf_solve_bwd",
+                 static_cast<int>(ids.size()), 0},
+                [&](gpusim::BlockCtx& ctx) {
+      const auto k = static_cast<std::size_t>(ctx.block());
+      const Front& fr = sym_.fronts[static_cast<std::size_t>(ids[k])];
+      const FrontBlocks& b = fb[k];
+      const int s = fr.s(), u = fr.u();
+      const int* upd =
+          upd_storage_.data() + upd_offset_[static_cast<std::size_t>(ids[k])];
+      double* xs = xd + fr.sep_begin;  // s x nrhs separator block, ld n
+      if (forward) {
+        // x_s <- L11^{-1} P x_s; x[upd] -= L21 x_s (L21 is u x s, ld u),
+        // scattered through tmp (atomics on real hardware).
+        const int* piv = front_ipiv(ids[k]);
+        for (int j = 0; j < nrhs; ++j) {
+          double* xc = xs + static_cast<std::ptrdiff_t>(j) * n;
+          for (int r = 0; r < s; ++r)
+            if (piv[r] != r) std::swap(xc[r], xc[piv[r]]);
+        }
+        la::trsm(la::Side::Left, la::Uplo::Lower, la::Trans::No,
+                 la::Diag::Unit, s, nrhs, 1.0, b.f11, s, xs, n);
+        if (u > 0) {
+          la::gemm(la::Trans::No, la::Trans::No, u, nrhs, s, 1.0, b.l21, u,
+                   xs, n, 0.0, tmp.data(), u);
+          for (int j = 0; j < nrhs; ++j) {
+            double* xc = xd + static_cast<std::ptrdiff_t>(j) * n;
+            const double* tc = tmp.data() + static_cast<std::ptrdiff_t>(j) * u;
+            for (int i = 0; i < u; ++i) xc[upd[i]] -= tc[i];
+          }
+        }
+      } else {
+        // x_s <- U11^{-1} (x_s - U12 x[upd]) (U12 is s x u, ld s).
+        if (u > 0) {
+          for (int j = 0; j < nrhs; ++j) {
+            const double* xc = xd + static_cast<std::ptrdiff_t>(j) * n;
+            double* tc = tmp.data() + static_cast<std::ptrdiff_t>(j) * u;
+            for (int i = 0; i < u; ++i) tc[i] = xc[upd[i]];
+          }
+          la::gemm(la::Trans::No, la::Trans::No, s, nrhs, u, -1.0, b.u12, s,
+                   tmp.data(), u, 1.0, xs, n);
+        }
+        la::trsm(la::Side::Left, la::Uplo::Upper, la::Trans::No,
+                 la::Diag::NonUnit, s, nrhs, 1.0, b.f11, s, xs, n);
       }
-      ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
-                 (static_cast<double>(m.s) * (m.s / 2.0 + m.u) + 2.0 * m.u +
-                  2.0 * m.s) *
+      // The triangle and the off-diagonal block are read once for all
+      // columns; x_s and x[upd] move once per column.
+      ctx.record(nrhs * (static_cast<double>(s) * s + 2.0 * s * u),
+                 (static_cast<double>(s) * (s / 2.0 + u) +
+                  nrhs * (2.0 * u + 2.0 * s)) *
                      sizeof(double));
     });
-  }
-  // Backward sweep, root to leaves: x_s <- U11^{-1}(x_s - U12 x[upd]).
-  for (int lvl = 0; lvl < nlevels; ++lvl) {
-    IRRLU_TRACE_SCOPE(dev_.tracer(), "bwd");
-    auto metas = level_metas(lvl, /*forward=*/false);
-    if (metas->empty()) continue;
-    auto tmp = level_scratch(*metas);
-    dev_.launch(stream, {"mf_solve_bwd", static_cast<int>(metas->size()), 0},
-                [metas, tmp, xd](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      double* xs = xd + m.sep_begin;
-      if (m.u > 0) {
-        // Gather x[upd], then x_s -= U12 * x_u (U12 is s x u, leading
-        // dimension s).
-        for (int k = 0; k < m.u; ++k) (*tmp)[k] = xd[m.upd[k]];
-        la::gemv(la::Trans::No, m.s, m.u, -1.0, m.off, m.s, tmp->data(), 1,
-                 1.0, xs, 1);
-      }
-      la::trsv(la::Uplo::Upper, la::Trans::No, la::Diag::NonUnit, m.s,
-               m.f11, m.s, xs, 1);
-      ctx.record(static_cast<double>(m.s) * m.s + 2.0 * m.s * m.u,
-                 (static_cast<double>(m.s) * (m.s / 2.0 + m.u) + 2.0 * m.u +
-                  2.0 * m.s) *
-                     sizeof(double));
-    });
-  }
-  dev_.synchronize(stream);
-  std::copy(dx.data(), dx.data() + n, x.begin());
-}
-
-void MultifrontalFactor::solve_many(double* x, int nrhs) const {
-  if (nrhs <= 0 || n_ == 0) return;
-  // The scope opens before any staging allocation so every buffer of the
-  // interleaved sweep is tagged "solve_many".
-  IRRLU_TRACE_SCOPE(dev_.tracer(), "solve_many");
-  auto& stream = dev_.stream();
-  const int ldx = n_;
-  const std::size_t xelems =
-      static_cast<std::size_t>(n_) * static_cast<std::size_t>(nrhs);
-  auto dx = dev_.alloc<double>(xelems);
-  std::copy(x, x + xelems, dx.data());
-  double* xd = dx.data();
-
-  // Host-side per-front metadata for the gather/scatter kernels (the
-  // solve_batched Meta idiom) plus device descriptor arrays for the
-  // irrTRSM / irrGEMM calls. Every front of a level stages its dim x nrhs
-  // right-hand-side block once; the triangular solve and the
-  // separator/update coupling then run over the whole level as ONE
-  // irregular batch, so the factor blocks are read once per front per
-  // sweep instead of once per RHS.
-  struct Meta {
-    double* stage;   ///< this front's dim x nrhs staging block (ld = dim)
-    const int* upd;  ///< update-row indices (permuted space)
-    const int* pg;   ///< pivoted gather order for the separator rows
-    int s, u, sep_begin;
   };
-  struct LevelBatch {
-    int bs = 0;  ///< fronts with s > 0
-    int max_s = 0, max_u = 0;
-    std::shared_ptr<std::vector<Meta>> metas;
-    gpusim::DeviceBuffer<double> stage;
-    gpusim::DeviceBuffer<double> promoted;  ///< FP64 view of an FP32 level
-    gpusim::DeviceBuffer<int> pgather;  ///< concatenated pivot orders
-    gpusim::DeviceBuffer<const double*> f11_p, l21_p, u12_p;
-    gpusim::DeviceBuffer<double*> top_p, bot_p;
-    gpusim::DeviceBuffer<int> f11_ld, l21_ld, u12_ld, stage_ld, s_vec, u_vec,
-        nrhs_vec;
-  };
-
-  const int nlevels = static_cast<int>(sym_.levels.size());
-  std::vector<LevelBatch> lvls(static_cast<std::size_t>(nlevels));
-  for (int lvl = 0; lvl < nlevels; ++lvl) {
-    LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
-    std::size_t stage_elems = 0, pg_total = 0;
-    for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      if (fr.s() == 0) continue;
-      ++L.bs;
-      L.max_s = std::max(L.max_s, fr.s());
-      L.max_u = std::max(L.max_u, fr.u());
-      stage_elems += static_cast<std::size_t>(fr.dim()) *
-                     static_cast<std::size_t>(nrhs);
-      pg_total += static_cast<std::size_t>(fr.s());
-    }
-    if (L.bs == 0) continue;
-    const auto bsz = static_cast<std::size_t>(L.bs);
-    LevelBlocks lb = level_blocks(lvl);
-    L.promoted = std::move(lb.promoted);
-    L.stage = dev_.alloc<double>(stage_elems);
-    L.pgather = dev_.alloc<int>(pg_total);
-    L.f11_p = dev_.alloc<const double*>(bsz);
-    L.l21_p = dev_.alloc<const double*>(bsz);
-    L.u12_p = dev_.alloc<const double*>(bsz);
-    L.top_p = dev_.alloc<double*>(bsz);
-    L.bot_p = dev_.alloc<double*>(bsz);
-    L.f11_ld = dev_.alloc<int>(bsz);
-    L.l21_ld = dev_.alloc<int>(bsz);
-    L.u12_ld = dev_.alloc<int>(bsz);
-    L.stage_ld = dev_.alloc<int>(bsz);
-    L.s_vec = dev_.alloc<int>(bsz);
-    L.u_vec = dev_.alloc<int>(bsz);
-    L.nrhs_vec = dev_.alloc<int>(bsz);
-    L.metas = std::make_shared<std::vector<Meta>>();
-    L.metas->reserve(bsz);
-    std::size_t so = 0, po = 0;
-    std::size_t i = 0;
-    for (int id : sym_.levels[static_cast<std::size_t>(lvl)]) {
-      const Front& fr = sym_.fronts[static_cast<std::size_t>(id)];
-      const int s = fr.s(), u = fr.u(), dim = fr.dim();
-      if (s == 0) continue;
-      double* st = L.stage.data() + so;
-      int* pg = L.pgather.data() + po;
-      // The sequential pivot swaps of the scalar solve, applied to an
-      // identity index array, yield the gather order that produces the
-      // same permuted vector in one pass.
-      for (int r = 0; r < s; ++r) pg[r] = r;
-      const int* piv = front_ipiv(id);
-      for (int r = 0; r < s; ++r)
-        if (piv[r] != r) std::swap(pg[r], pg[piv[r]]);
-      L.f11_p[i] = lb.fronts[i].f11;
-      L.l21_p[i] = lb.fronts[i].l21;
-      L.u12_p[i] = lb.fronts[i].u12;
-      L.top_p[i] = st;
-      L.bot_p[i] = st + s;
-      L.f11_ld[i] = s;
-      L.l21_ld[i] = u > 0 ? u : 1;
-      L.u12_ld[i] = s;
-      L.stage_ld[i] = dim;
-      L.s_vec[i] = s;
-      L.u_vec[i] = u;
-      L.nrhs_vec[i] = nrhs;
-      L.metas->push_back(
-          {st, upd_storage_.data() + upd_offset_[static_cast<std::size_t>(id)],
-           pg, s, u, fr.sep_begin});
-      so += static_cast<std::size_t>(dim) * static_cast<std::size_t>(nrhs);
-      po += static_cast<std::size_t>(s);
-      ++i;
-    }
-  }
-
-  // Forward sweep, leaves to root: stage <- P x_s; stage <- L11^{-1} stage
-  // (irrTRSM over the level); bottom <- L21 * top (irrGEMM); x[upd] -=
-  // bottom (scatter; atomics on real hardware, sequential blocks in the
-  // simulator — the same contract solve_batched documents).
+  // Forward sweep leaves to root, then backward sweep root to leaves.
   for (int lvl = nlevels - 1; lvl >= 0; --lvl) {
-    const LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
     IRRLU_TRACE_SCOPE(dev_.tracer(), "fwd");
-    auto metas = L.metas;
-    dev_.launch(stream, {"mf_many_gather_fwd", L.bs, 0},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx +
-                           m.sep_begin;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.pg[r]];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double) +
-                          static_cast<double>(m.s) * sizeof(int));
-    });
-    batch::irr_trsm(dev_, stream, la::Side::Left, la::Uplo::Lower,
-                    la::Trans::No, la::Diag::Unit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
-    if (L.max_u > 0)
-      batch::irr_gemm(dev_, stream, la::Trans::No, la::Trans::No, L.max_u,
-                      nrhs, L.max_s, 1.0, L.l21_p.data(), L.l21_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.top_p.data()),
-                      L.stage_ld.data(), 0, 0, 0.0, L.bot_p.data(),
-                      L.stage_ld.data(), 0, 0, L.u_vec.data(),
-                      L.nrhs_vec.data(), L.s_vec.data(), L.bs);
-    dev_.launch(stream, {"mf_many_scatter_fwd", L.bs, 0},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-        for (int k = 0; k < m.u; ++k) xc[m.upd[k]] -= sc[m.s + k];
-      }
-      ctx.record(static_cast<double>(m.u) * nrhs,
-                 (2.0 * m.s + 3.0 * m.u) * nrhs * sizeof(double) +
-                     static_cast<double>(m.u) * sizeof(int));
-    });
+    sweep_level(lvl, /*forward=*/true);
   }
-
-  // Backward sweep, root to leaves: top <- x_s, bottom <- x[upd] (gather);
-  // top -= U12 * bottom (irrGEMM); top <- U11^{-1} top (irrTRSM); x_s <-
-  // top (scatter; separator ranges are disjoint, plain stores).
   for (int lvl = 0; lvl < nlevels; ++lvl) {
-    const LevelBatch& L = lvls[static_cast<std::size_t>(lvl)];
-    if (L.bs == 0) continue;
     IRRLU_TRACE_SCOPE(dev_.tracer(), "bwd");
-    auto metas = L.metas;
-    dev_.launch(stream, {"mf_many_gather_bwd", L.bs, 0},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        const double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) sc[r] = xc[m.sep_begin + r];
-        for (int k = 0; k < m.u; ++k) sc[m.s + k] = xc[m.upd[k]];
-      }
-      ctx.record(0.0, 2.0 * (m.s + m.u) * nrhs * sizeof(double) +
-                          static_cast<double>(m.u) * sizeof(int));
-    });
-    if (L.max_u > 0)
-      batch::irr_gemm(dev_, stream, la::Trans::No, la::Trans::No, L.max_s,
-                      nrhs, L.max_u, -1.0, L.u12_p.data(), L.u12_ld.data(), 0,
-                      0, const_cast<const double* const*>(L.bot_p.data()),
-                      L.stage_ld.data(), 0, 0, 1.0, L.top_p.data(),
-                      L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                      L.nrhs_vec.data(), L.u_vec.data(), L.bs);
-    batch::irr_trsm(dev_, stream, la::Side::Left, la::Uplo::Upper,
-                    la::Trans::No, la::Diag::NonUnit, L.max_s, nrhs, 1.0,
-                    L.f11_p.data(), L.f11_ld.data(), 0, 0, L.top_p.data(),
-                    L.stage_ld.data(), 0, 0, L.s_vec.data(),
-                    L.nrhs_vec.data(), L.bs);
-    dev_.launch(stream, {"mf_many_scatter_bwd", L.bs, 0},
-                [metas, xd, ldx, nrhs](gpusim::BlockCtx& ctx) {
-      const Meta& m = (*metas)[static_cast<std::size_t>(ctx.block())];
-      const int dim = m.s + m.u;
-      for (int j = 0; j < nrhs; ++j) {
-        double* xc = xd + static_cast<std::ptrdiff_t>(j) * ldx;
-        const double* sc = m.stage + static_cast<std::ptrdiff_t>(j) * dim;
-        for (int r = 0; r < m.s; ++r) xc[m.sep_begin + r] = sc[r];
-      }
-      ctx.record(0.0, 2.0 * m.s * nrhs * sizeof(double));
-    });
+    sweep_level(lvl, /*forward=*/false);
   }
-
   dev_.synchronize(stream);
   std::copy(dx.data(), dx.data() + xelems, x);
 }

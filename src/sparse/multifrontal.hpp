@@ -119,26 +119,20 @@ class MultifrontalFactor {
   /// factorization. Host-side reference implementation.
   void solve(std::vector<double>& x) const;
 
-  /// Same solve, executed as level-batched kernels on the device (one
-  /// thread block per front, forward sweep leaves-to-root then backward
-  /// root-to-leaves). On real hardware the forward sweep's scatter into
-  /// shared ancestor entries would need atomics; the simulator executes
-  /// blocks sequentially, and the level schedule already guarantees
-  /// child-before-parent ordering.
-  void solve_batched(std::vector<double>& x) const;
-
-  /// Interleaved many-RHS solve: X is column-major n x nrhs (ld = n, in
-  /// the permuted space, one RHS per column), overwritten with the
-  /// solutions. Each level's fronts run ONE gather, one irrTRSM over the
-  /// s x nrhs separator blocks, one irrGEMM for the separator/update
-  /// coupling and one scatter — instead of nrhs independent sweeps. The
-  /// factor blocks are read once per front per sweep rather than once per
-  /// RHS, and the launch count is per-level rather than per-RHS-per-level:
-  /// the interleaved batch-solver access pattern ("Efficient Interleaved
-  /// Batch Matrix Solvers for CUDA", PAPERS.md). Device path; per-column
-  /// results agree with solve()/solve_batched() to rounding (blocked
-  /// irrTRSM vs per-vector trsv accumulation order), not bitwise.
-  void solve_many(double* x, int nrhs) const;
+  /// Same solve for nrhs right-hand sides at once, executed as
+  /// level-batched kernels on the device: x is column-major n x nrhs
+  /// (ld = n, in the permuted space, one RHS per column), overwritten with
+  /// the solutions. One launch per non-empty level per direction at every
+  /// width (forward sweep leaves-to-root, then backward root-to-leaves),
+  /// one thread block per front, which solves all nrhs columns with
+  /// level-3 trsm/gemm, so each front's factor blocks are read once per
+  /// sweep rather than once per RHS (Gloster et al.'s interleaved batch
+  /// solvers, PAPERS.md). Columns never mix: column j of a width-k solve
+  /// is bit for bit the width-1 solve of that column. On real hardware the
+  /// forward sweep's scatter into shared ancestor entries would need
+  /// atomics; the simulator executes blocks sequentially, and the level
+  /// schedule already guarantees child-before-parent ordering.
+  void solve_batched(double* x, int nrhs) const;
 
   /// Solves (L U)^T x = b in the permuted space, overwriting x: the
   /// transpose of solve(), obtained by transposing every per-front
@@ -262,7 +256,7 @@ class MultifrontalFactor {
   // Device-solve view of one level: one entry per front with s > 0, in
   // level order. FP64 levels point straight into the factor store; an FP32
   // level is promoted into `promoted` by one charged mf_promote launch,
-  // which both sweeps of a solve then share.
+  // which both sweeps of a solve_batched call then share, at any width.
   struct LevelBlocks {
     gpusim::DeviceBuffer<double> promoted;
     std::vector<FrontBlocks> fronts;

@@ -140,20 +140,26 @@ bool report_better(const SolveReport& a, const SolveReport& b) {
   return a.berr < b.berr;
 }
 
+// The two sweeps behind the solve entries: the host reference sweep
+// (width 1) and the level-batched device sweep (any width).
+void host_sweep(const MultifrontalFactor& f, std::vector<double>& w, int) {
+  f.solve(w);
+}
+void device_sweep(const MultifrontalFactor& f, std::vector<double>& w,
+                  int nrhs) {
+  f.solve_batched(w.data(), nrhs);
+}
+
 }  // namespace
 
 SolveReport SparseDirectSolver::solve_report(
     const std::vector<double>& b) const {
   // The width-1 case of the batched loop, on the sweep solve_on_device
-  // selects: the host reference sweep or the level-batched device kernels.
-  Sweep sweep = [](const MultifrontalFactor& f, std::vector<double>& w, int) {
-    f.solve(w);
-  };
-  if (opts_.solve_on_device)
-    sweep = [](const MultifrontalFactor& f, std::vector<double>& w, int) {
-      f.solve_batched(w);
-    };
-  return std::move(solve_with_fallback({&b, 1}, sweep).front());
+  // selects.
+  return std::move(
+      solve_with_fallback({&b, 1},
+                          opts_.solve_on_device ? device_sweep : host_sweep)
+          .front());
 }
 
 std::vector<double> SparseDirectSolver::solve(
@@ -170,10 +176,7 @@ std::vector<double> SparseDirectSolver::solve(
 
 std::vector<SolveReport> SparseDirectSolver::solve_report_many(
     const std::vector<std::vector<double>>& bs) const {
-  return solve_with_fallback(
-      bs, [](const MultifrontalFactor& f, std::vector<double>& w, int nrhs) {
-        f.solve_many(w.data(), nrhs);
-      });
+  return solve_with_fallback(bs, device_sweep);
 }
 
 std::vector<SolveReport> SparseDirectSolver::solve_with_fallback(

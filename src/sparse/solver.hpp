@@ -135,28 +135,31 @@ class SparseDirectSolver {
 
   /// Batched counterpart of solve_report() for many right-hand sides
   /// against one factorization, running the same refinement loop and FP64
-  /// fallback: the initial solves and every refinement sweep run as a
-  /// single interleaved many-RHS triangular sweep on the device
-  /// (MultifrontalFactor::solve_many) instead of nrhs sequential solves,
-  /// so the factor blocks are read once per front per sweep and the
-  /// launch count is per-level, not per-RHS-per-level. Each request keeps
-  /// the full per-request quality contract: its own adaptive refinement
-  /// control flow (tolerance, best-iterate rollback, stagnation/divergence
-  /// stops), its own berr history, its own SolveStatus — requests leave
-  /// the batch individually as they converge and only the still-active
-  /// residuals are re-solved. Always takes the solve_many sweep regardless
-  /// of SolverOptions::solve_on_device; per-request results agree with
-  /// solve_report() to rounding (blocked batched triangular solves vs
-  /// per-vector substitution), statuses preserved.
+  /// fallback: the initial solves and every refinement sweep run as one
+  /// level-batched device sweep over all still-active right-hand sides
+  /// (MultifrontalFactor::solve_batched with nrhs columns) instead of nrhs
+  /// sequential solves, so the factor blocks are read once per front per
+  /// sweep and the launch count is per-level, not per-RHS-per-level. Each
+  /// request keeps the full per-request quality contract: its own adaptive
+  /// refinement control flow (tolerance, best-iterate rollback,
+  /// stagnation/divergence stops), its own berr history, its own
+  /// SolveStatus — requests leave the batch individually as they converge
+  /// and only the still-active residuals are re-solved. Always takes the
+  /// device sweep regardless of SolverOptions::solve_on_device. The sweep
+  /// never mixes columns, so under solve_on_device each request's report
+  /// is bitwise equal to solve_report() of its right-hand side alone
+  /// (unless the FP64 fallback re-solves the whole batch: it triggers on
+  /// any request of the batch falling short); against the host sweep the
+  /// results agree to rounding, statuses preserved.
   std::vector<SolveReport> solve_report_many(
       const std::vector<std::vector<double>>& bs) const;
 
   /// Solves for several right-hand sides against the same factorization
   /// (the "multiple source terms" reuse the paper's introduction
-  /// motivates). Since PR 7 this routes through solve_report_many() — one
-  /// batched interleaved sweep per refinement step — rather than looping
-  /// scalar solve() calls; results can differ from the old loop in the
-  /// last bits (solve path + accumulation order), never in status. Throws
+  /// motivates). Routes through solve_report_many() — one batched device
+  /// sweep per refinement step — rather than looping scalar solve()
+  /// calls; results can differ from host-sweep solve() calls in the last
+  /// bits (solve path + accumulation order), never in status. Throws
   /// irrlu::Error naming the first failed request if any factorization
   /// proves numerically unusable; use solve_report_many() for the
   /// non-throwing structured results.

@@ -404,6 +404,22 @@ TEST(Fp32DeviceSolve, PromotesEachFp32LevelOncePerSweep) {
   const SolveReport rep = solver.solve_report(random_rhs(a.rows(), 5));
   EXPECT_EQ(rep.status, SolveStatus::kConverged);
   EXPECT_EQ(promotes() - before, (1 + rep.refine_steps) * fp32_levels);
+
+  // Four right-hand sides share every sweep, and with it the promotions:
+  // one per FP32 level per sweep, not per RHS. Every request is in the
+  // initial sweep and stays in the batch until it leaves, so the batch
+  // runs 1 + (most steps of any request) sweeps.
+  std::vector<std::vector<double>> bs;
+  for (unsigned j = 0; j < 4; ++j) bs.push_back(random_rhs(a.rows(), 11 + j));
+  const long before_many = promotes();
+  const std::vector<SolveReport> reps = solver.solve_report_many(bs);
+  int most_steps = 0;
+  for (const SolveReport& r : reps) {
+    EXPECT_EQ(r.status, SolveStatus::kConverged);
+    most_steps = std::max(most_steps, r.refine_steps);
+  }
+  EXPECT_GT(most_steps, 0);
+  EXPECT_EQ(promotes() - before_many, (1 + most_steps) * fp32_levels);
 }
 
 // ---------------------------------------------------------------------------

@@ -107,8 +107,56 @@ TEST(PatternHash, InsertionOrderDoesNotLeak) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved many-RHS solve (tentpole path)
+// Many-RHS solve: one device sweep over all still-active right-hand sides
 // ---------------------------------------------------------------------------
+
+TEST(SolveMany, BitwiseEqualToSingleRequestsOnDevice) {
+  // Under solve_on_device both entries run the same device sweep, which
+  // never mixes columns, so each request of a batch must come out bit for
+  // bit as its own solve_report: x, berr, berr history, steps and status.
+  // The factor is FP64 on purpose: with FP32 levels the LU-IR fallback
+  // refactors and re-solves the whole batch when any one request falls
+  // short, which a lone request that converges would not do. Tolerance 0
+  // keeps every request refining until it stagnates or diverges, so the
+  // batch narrows sweep by sweep and the rollback path runs too.
+  const CsrMatrix a = laplacian3d(6, 6, 6, -2.3);
+  for (double tol : {SolverOptions{}.refine_tolerance, 0.0}) {
+    Device dev(DeviceModel::a100());
+    SolverOptions opts;
+    opts.solve_on_device = true;
+    opts.refine_tolerance = tol;
+    SparseDirectSolver solver(opts);
+    solver.analyze(a);
+    solver.factor(dev);
+    ASSERT_FALSE(solver.numeric().has_fp32());
+    for (int nrhs : {1, 4, 7}) {
+      SCOPED_TRACE(std::string(tol == 0.0 ? "tol=0" : "default tol") +
+                   " nrhs=" + std::to_string(nrhs));
+      std::vector<std::vector<double>> bs;
+      for (int j = 0; j < nrhs; ++j)
+        bs.push_back(random_rhs(a.rows(), 300u + static_cast<unsigned>(j)));
+      const auto many = solver.solve_report_many(bs);
+      ASSERT_EQ(many.size(), bs.size());
+      for (int j = 0; j < nrhs; ++j) {
+        const auto one =
+            solver.solve_report(bs[static_cast<std::size_t>(j)]);
+        const auto& m = many[static_cast<std::size_t>(j)];
+        if (tol == 0.0) {
+          EXPECT_GT(one.refine_steps, 0) << "rhs " << j;
+        }
+        EXPECT_EQ(m.status, one.status) << "rhs " << j;
+        EXPECT_EQ(m.refine_steps, one.refine_steps) << "rhs " << j;
+        EXPECT_EQ(m.berr, one.berr) << "rhs " << j;
+        EXPECT_EQ(m.berr_history, one.berr_history) << "rhs " << j;
+        ASSERT_EQ(m.x.size(), one.x.size());
+        EXPECT_EQ(std::memcmp(m.x.data(), one.x.data(),
+                              m.x.size() * sizeof(double)),
+                  0)
+            << "rhs " << j;
+      }
+    }
+  }
+}
 
 TEST(SolveMany, MatchesSequentialSolveReport) {
   Device dev(DeviceModel::a100());

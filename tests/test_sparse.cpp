@@ -7,6 +7,7 @@
 #include <cmath>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -428,14 +429,22 @@ TEST(DeviceSolve, LaunchCountScalesWithLevelsNotFronts) {
   SparseDirectSolver solver(opts);
   solver.analyze(a);
   solver.factor(dev);
-  std::vector<double> x(static_cast<std::size_t>(a.rows()), 1.0);
-  const long before = dev.launch_count();
-  solver.numeric().solve_batched(x);
-  const long solve_launches = dev.launch_count() - before;
   const long levels = static_cast<long>(solver.symbolic().levels.size());
   const long fronts = static_cast<long>(solver.symbolic().fronts.size());
-  EXPECT_LE(solve_launches, 2 * levels + 2);
-  EXPECT_LT(solve_launches, fronts);  // the batching is the point
+  // The width is one more input: a block solves all of its front's
+  // columns, so a width-k sweep issues exactly the width-1 launches.
+  long width1_launches = -1;
+  for (int nrhs : {1, 2, 4, 7, 16}) {
+    SCOPED_TRACE("nrhs=" + std::to_string(nrhs));
+    std::vector<double> x(static_cast<std::size_t>(a.rows()) * nrhs, 1.0);
+    const long before = dev.launch_count();
+    solver.numeric().solve_batched(x.data(), nrhs);
+    const long solve_launches = dev.launch_count() - before;
+    EXPECT_LE(solve_launches, 2 * levels + 2);
+    EXPECT_LT(solve_launches, fronts);  // the batching is the point
+    if (nrhs == 1) width1_launches = solve_launches;
+    EXPECT_EQ(solve_launches, width1_launches);
+  }
 }
 
 // --------------------------------------------------------------------- IO
